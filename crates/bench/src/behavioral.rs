@@ -1,186 +1,63 @@
-//! The behavioral-analytics benchmark: stateful suite × placement.
-//!
-//! [`bench_behavioral`] runs every query of the web-analytics suite
-//! (`hape_tpch::events::behavioral_queries`) under each placement —
-//! `cpu`, `gpu`, `hybrid` and the cost-based `auto` — over one
-//! deterministic event log, recording the simulated makespan and the real
-//! elapsed time per cell. The suite's headline claim is asserted, not just
-//! reported: for every query, `auto`'s simulated makespan is no worse
-//! than the best *manual* placement, because the optimizer prices the
-//! GPU's sequential-state penalty instead of pinning stateful pipelines
-//! anywhere by rule.
-//!
-//! [`write_json`] serialises to `BENCH_behavioral.json` (hand-rolled — no
-//! serde in the offline workspace), regenerated by CI smoke and uploaded
-//! next to `BENCH_tpch.json` and `BENCH_serve.json`.
+//! The behavioral B1–B4 rows of the benchmark matrix, checked: every cell
+//! completes, and `auto`'s simulated makespan is no worse than the best
+//! manual placement, because the optimizer prices the GPU's
+//! sequential-state penalty instead of pinning stateful pipelines anywhere
+//! by rule.
 
-use std::time::Instant;
-
-use hape_core::{ExecConfig, Placement, Session};
-use hape_sim::topology::Server;
-use hape_tpch::events::{behavioral_queries, generate_events};
-
-/// Slack for the `auto <= best manual` assertion: `auto` typically *ties*
-/// the best manual placement (it picks the same device subset), so the
-/// comparison must tolerate nothing beyond float formatting noise.
-const AUTO_SLACK: f64 = 1.0 + 1e-9;
-
-/// One measured `(query, placement)` cell.
-#[derive(Debug, Clone)]
-pub struct BehavioralPoint {
-    /// Query label (`B1_sessions`, `B2_funnel`, ...).
-    pub query: String,
-    /// Device placement.
-    pub placement: Placement,
-    /// Real elapsed seconds of `Session::execute_with`.
-    pub wall_seconds: f64,
-    /// Simulated makespan in seconds (deterministic).
-    pub sim_seconds: f64,
-    /// False when the engine reported a typed failure; the time fields
-    /// are then 0.
-    pub completed: bool,
-}
-
-/// The behavioral suite benchmark result.
-#[derive(Debug, Clone)]
-pub struct BehavioralBench {
-    /// Users in the generated event log.
-    pub n_users: usize,
-    /// Event rows in the generated log.
-    pub rows: usize,
-    /// Every `(query, placement)` cell, placements grouped per query.
-    pub points: Vec<BehavioralPoint>,
-}
-
-impl BehavioralBench {
-    /// Simulated seconds of `placement` on `query`, if that cell completed.
-    pub fn sim_of(&self, query: &str, placement: Placement) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.query == query && p.placement == placement && p.completed)
-            .map(|p| p.sim_seconds)
-    }
-}
-
-/// Run the behavioral suite × placement matrix over a `n_users`-user
-/// deterministic event log.
-///
-/// Panics if any cell fails, or if `auto` is beaten by a manual placement
-/// on any query — the regression tripwire for the stateful cost arm.
-pub fn bench_behavioral(n_users: usize, threads: Option<usize>) -> BehavioralBench {
-    let events = generate_events(n_users, 7171);
-    let rows = events.data.rows();
-    let mut session = Session::new(Server::paper_testbed());
-    session.register(events);
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    let mut points = Vec::new();
-    for query in behavioral_queries() {
-        for placement in placements {
-            let mut cfg = ExecConfig::new(placement);
-            cfg.threads = threads;
-            let started = Instant::now();
-            let outcome = session.execute_with(&query, &cfg);
-            let wall_seconds = started.elapsed().as_secs_f64();
-            let point = match outcome {
-                Ok(rep) => BehavioralPoint {
-                    query: query.name.clone(),
-                    placement,
-                    wall_seconds,
-                    sim_seconds: rep.time.as_secs(),
-                    completed: true,
-                },
-                Err(e) => {
-                    panic!("{}/{placement}: behavioral suite must complete: {e}", query.name)
-                }
-            };
-            points.push(point);
-        }
-    }
-    let bench = BehavioralBench { n_users, rows, points };
-    for query in behavioral_queries() {
-        let auto = bench
-            .sim_of(&query.name, Placement::Auto)
-            .unwrap_or_else(|| panic!("{}: auto cell missing", query.name));
-        let best_manual = [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid]
-            .into_iter()
-            .filter_map(|p| bench.sim_of(&query.name, p))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            auto <= best_manual * AUTO_SLACK,
-            "{}: auto ({auto}s) must match the best manual placement ({best_manual}s)",
-            query.name
-        );
-    }
-    bench
-}
-
-/// Render the benchmark as an aligned table with the auto-vs-manual margin.
-pub fn print_behavioral(bench: &BehavioralBench) {
-    println!("== behavioral suite benchmark ({} users, {} events)", bench.n_users, bench.rows);
-    println!("{:>12} {:>8} {:>14} {:>14}", "query", "place", "wall_s", "sim_s");
-    for p in &bench.points {
-        println!(
-            "{:>12} {:>8} {:>14.6} {:>14.6}",
-            p.query,
-            p.placement.to_string(),
-            p.wall_seconds,
-            p.sim_seconds
-        );
-    }
-    for query in behavioral_queries() {
-        if let Some(auto) = bench.sim_of(&query.name, Placement::Auto) {
-            let best = [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid]
-                .into_iter()
-                .filter_map(|p| bench.sim_of(&query.name, p))
-                .fold(f64::INFINITY, f64::min);
-            println!("{}: auto {auto:.6}s vs best manual {best:.6}s", query.name);
-        }
-    }
-}
-
-/// Serialise to JSON (hand-rolled; no serde in the offline workspace).
-/// Stable shape: `{n_users, rows, points: [{query, placement,
-/// wall_seconds, sim_seconds, completed}]}`.
-pub fn to_json(bench: &BehavioralBench) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"n_users\": {},\n", bench.n_users));
-    out.push_str(&format!("  \"rows\": {},\n", bench.rows));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"placement\": \"{}\", \"wall_seconds\": {}, \
-             \"sim_seconds\": {}, \"completed\": {}}}{}\n",
-            p.query,
-            p.placement,
-            p.wall_seconds,
-            p.sim_seconds,
-            p.completed,
-            if i + 1 < bench.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push('}');
-    out
-}
-
-/// Write the benchmark to `path` (conventionally `BENCH_behavioral.json`).
-pub fn write_json(bench: &BehavioralBench, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, to_json(bench) + "\n")
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use hape_core::{ExecConfig, Placement};
+    use hape_tpch::events::behavioral_queries;
+
+    use crate::matrix::{json_str, run_matrix, sweep_json, Fields};
+
+    /// Slack for the `auto <= best manual` check: `auto` typically *ties*
+    /// the best manual placement (it picks the same device subset), so the
+    /// comparison tolerates nothing beyond float formatting noise.
+    const AUTO_SLACK: f64 = 1.0 + 1e-9;
 
     #[test]
     fn smoke_bench_auto_matches_best_manual_and_json_is_stable() {
-        let bench = bench_behavioral(1_000, Some(2));
-        // 4 queries × 4 placements, all completed (bench_behavioral
-        // asserts the auto-vs-manual bound itself).
-        assert_eq!(bench.points.len(), 16);
-        assert!(bench.points.iter().all(|p| p.completed));
-        let json = to_json(&bench);
+        let names: Vec<String> = behavioral_queries().into_iter().map(|q| q.name).collect();
+        let points: Vec<(String, Placement, Option<f64>)> = run_matrix(0.01, 1_000, |cell| {
+            let mut cfg = ExecConfig::new(cell.placement);
+            cfg.threads = Some(2);
+            let sim =
+                cell.engine.run(cell.catalog, cell.plan, &cfg).ok().map(|r| r.time.as_secs());
+            (cell.plan.name.clone(), cell.placement, sim)
+        })
+        .into_iter()
+        .filter(|(query, _, _)| names.contains(query))
+        .collect();
+        // 4 queries × 4 placements, all completed.
+        assert_eq!(points.len(), 16);
+        assert!(points.iter().all(|(_, _, sim)| sim.is_some()), "{points:?}");
+        let sim_of = |query: &str, placement: Placement| {
+            points.iter().find(|(q, p, _)| q == query && *p == placement).and_then(|c| c.2)
+        };
+        for query in &names {
+            let auto = sim_of(query, Placement::Auto).unwrap_or(f64::INFINITY);
+            let best_manual = [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid]
+                .into_iter()
+                .filter_map(|p| sim_of(query, p))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                auto <= best_manual * AUTO_SLACK,
+                "{query}: auto ({auto}s) must match the best manual placement ({best_manual}s)"
+            );
+        }
+        let header: Fields = vec![("n_users", "1000".into())];
+        let rows: Vec<Fields> = points
+            .iter()
+            .map(|(query, placement, sim)| {
+                vec![
+                    ("query", json_str(query)),
+                    ("placement", json_str(&placement.to_string())),
+                    ("sim_seconds", format!("{}", sim.unwrap_or(0.0))),
+                    ("completed", sim.is_some().to_string()),
+                ]
+            })
+            .collect();
+        let json = sweep_json(&header, &rows);
         assert!(json.contains("\"n_users\": 1000"));
         assert!(json.contains("\"placement\": \"auto\""));
         assert!(json.ends_with('}'));

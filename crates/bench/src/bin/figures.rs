@@ -1,51 +1,38 @@
-//! Regenerate the paper's figures and the wall-clock benchmark.
+//! Regenerate the paper's figures and run the verification and chaos
+//! sweeps.
 //!
 //! ```text
 //! figures [fig5|fig6|fig7|fig8|fig9|all] [--full] [--smoke] [--sf <f64>]
-//!         [--placements <p,p,...>] [--packet-rows <n>] [--threads <n,n,...>]
-//!         [--wall [--out <path>]] [--serve [--out <path>]]
-//!         [--behavioral [--users <n>] [--out <path>]]
+//!         [--placements <p,p,...>] [--packet-rows <n>] [--threads <n>]
+//!         [--verify | --chaos [--seed <n>]] [--users <n>] [--out <path>]
 //!         [--trace <path>] [--profile]
 //! ```
 //!
-//! Default sizes are scaled down (see EXPERIMENTS.md); `--full` uses
+//! Default sizes are scaled down from the paper's; `--full` uses
 //! paper-scale inputs where host memory permits (slow). `--smoke` shrinks
-//! every figure to seconds of runtime — the CI guard that keeps this
-//! harness runnable while the criterion benches stay gated off.
+//! every figure and sweep to seconds of runtime — the CI guard that keeps
+//! this harness runnable.
 //!
 //! `--placements` selects the Proteus series of fig8 by name (`cpu`,
 //! `gpu`, `hybrid`, `auto` — `Placement`'s `FromStr`); `auto` plots the
 //! cost-based optimizer against the manual placements. `--packet-rows`
-//! overrides the auto packet-sizing heuristic for sweeps; `--threads`
-//! pins the data-plane pool size (fig8 uses the first value).
+//! overrides the auto packet-sizing heuristic; `--threads` pins the
+//! data-plane pool size of fig8 and the traced run.
 //!
-//! `--wall` runs the wall-clock TPC-H sweep instead of the figures: real
-//! `Instant`-measured elapsed per `(query, placement, threads)` next to
-//! the (thread-count-invariant) simulated makespan, written to
-//! `BENCH_tpch.json` (`--out` overrides the path). CI smoke invokes it so
-//! the perf trajectory has data points.
+//! `--verify` and `--chaos` sweep one matrix instead of drawing the
+//! figures: TPC-H Q1/Q5/Q6/Q9* plus the behavioral B1–B4 suite over a
+//! `--users`-user event log, each under every placement.
 //!
-//! `--serve` runs the concurrent-admission smoke instead: a
-//! mixed-placement TPC-H workload submitted to a `SessionServer` twice
-//! (cold, then warm against the cross-query build cache), reporting
-//! queries/sec, admission waits and cache-served builds per batch, written
-//! to `BENCH_serve.json` (`--out` overrides; `--threads` pins the
-//! data-plane pool with its first value). CI uploads it next to
-//! `BENCH_tpch.json`.
+//! - `--verify` statically verifies every placed plan, executes it, and
+//!   writes `VERIFY_tpch.json`; the process exits non-zero unless the
+//!   static and runtime verdicts agree in every cell.
+//! - `--chaos` runs every cell clean and under the canonical seeded fault
+//!   plan (`--seed` varies the schedule), recording fired faults, priced
+//!   retries/replans and the degraded/clean makespan ratio, and writes
+//!   `CHAOS_tpch.json`; the process exits non-zero when any cell's rows
+//!   diverge.
 //!
-//! `--behavioral` runs the stateful-analytics suite × placement matrix
-//! over the deterministic web-analytics event log (`--users` sizes it;
-//! `--smoke` shrinks it for CI), asserting `auto` matches the best manual
-//! placement on every query and writing `BENCH_behavioral.json` (`--out`
-//! overrides; `--threads` pins the data-plane pool with its first value).
-//!
-//! `--chaos` runs the fault-injection sweep instead: every benchmark
-//! query × placement executed clean and under the canonical seeded fault
-//! plan (`--seed` varies the schedule), recording fired faults, priced
-//! retries/replans and the degraded/clean makespan ratio per cell, and
-//! asserting the answers survive recovery — the process exits non-zero
-//! when any cell's rows diverge. Written to `CHAOS_tpch.json` (`--out`
-//! overrides); CI smoke runs it and uploads the artifact.
+//! `--out` overrides either sweep's output path.
 //!
 //! `--trace <path>` runs the TPC-H workload under the cost-based
 //! optimizer with the execution tracing plane attached and writes the
@@ -54,17 +41,19 @@
 //! deterministic plain-text predicted-vs-observed profile table instead
 //! (the two flags compose: one traced run feeds both exporters).
 //!
-//! Unknown `--flags` are rejected with an error and the usage synopsis —
-//! a typo like `--trase x.json` aborts instead of silently running the
-//! figures.
+//! Wall-clock and per-layer performance is measured by the `perf/`
+//! benchmark package, not by this binary.
+//!
+//! Unknown `--flags` and unparsable values are rejected with an error and
+//! the usage synopsis (exit code 2).
 
-use hape_bench::behavioral::{bench_behavioral, print_behavioral};
+use std::process::ExitCode;
+
 use hape_bench::chaos::{chaos_tpch, print_chaos};
-use hape_bench::figures::{fig5, fig6, fig7, fig8_opts, fig9, print_figure};
-use hape_bench::serve::{bench_serve, print_serve};
+use hape_bench::cli::{Args, CliError};
+use hape_bench::figures::{fig5, fig6, fig7, fig8, fig9, print_figure};
 use hape_bench::trace::{trace_tpch, write_chrome_trace};
 use hape_bench::verify::{print_verify, verify_tpch};
-use hape_bench::wall::{bench_tpch, print_wall, write_json};
 use hape_core::Placement;
 
 /// Flags that take a value.
@@ -79,142 +68,47 @@ const VALUE_FLAGS: [&str; 8] = [
     "--seed",
 ];
 /// Flags that stand alone.
-const BOOL_FLAGS: [&str; 8] = [
-    "--full",
-    "--smoke",
-    "--wall",
-    "--serve",
-    "--behavioral",
-    "--profile",
-    "--verify",
-    "--chaos",
-];
+const BOOL_FLAGS: [&str; 5] = ["--full", "--smoke", "--profile", "--verify", "--chaos"];
 
 const USAGE: &str = "usage: figures [fig5|fig6|fig7|fig8|fig9|all] [--full] [--smoke] \
                      [--sf <f64>] [--placements <p,p,...>] [--packet-rows <n>] \
-                     [--threads <n,n,...>] [--wall] [--serve] [--behavioral [--users <n>]] \
-                     [--verify] [--chaos [--seed <n>]] [--out <path>] [--trace <path>] \
-                     [--profile]";
+                     [--threads <n>] [--verify | --chaos [--seed <n>]] [--users <n>] \
+                     [--out <path>] [--trace <path>] [--profile]";
 
-/// A rejected command line — typed, so a typo aborts with the usage
-/// synopsis instead of silently running without the intended flag.
-#[derive(Debug)]
-enum CliError {
-    /// A `--flag` that is neither a value flag nor a boolean flag.
-    UnknownFlag(String),
-    /// A value flag at the end of the line, with nothing following it.
-    MissingValue(String),
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
-            CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
+fn main() -> ExitCode {
+    match run() {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            ExitCode::from(2)
         }
     }
 }
 
-impl std::error::Error for CliError {}
-
-/// Every argument must be a known flag, a known flag's value, or the
-/// positional figure id.
-fn validate_args(args: &[String]) -> Result<(), CliError> {
-    let mut is_value = false;
-    for a in args {
-        if is_value {
-            is_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            is_value = true;
-            continue;
-        }
-        if BOOL_FLAGS.contains(&a.as_str()) {
-            continue;
-        }
-        if a.starts_with("--") {
-            return Err(CliError::UnknownFlag(a.clone()));
-        }
-    }
-    if is_value {
-        return Err(CliError::MissingValue(args.last().expect("non-empty").clone()));
-    }
-    Ok(())
-}
-
-/// The first positional argument, skipping flags *and their values*
-/// (`--sf 0.1` must not make `0.1` the figure id).
-fn positional(args: &[String]) -> Option<&String> {
-    let mut skip_value = false;
-    for a in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_value = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        return Some(a);
-    }
-    None
-}
-
-/// The value following `flag`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = validate_args(&args) {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    let which = positional(&args).map(String::as_str).unwrap_or("all").to_string();
-    let full = args.iter().any(|a| a == "--full");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let sf = flag_value(&args, "--sf").and_then(|v| v.parse::<f64>().ok()).unwrap_or(if full {
+fn run() -> Result<ExitCode, CliError> {
+    let args = Args::parse(std::env::args().skip(1), &VALUE_FLAGS, &BOOL_FLAGS)?;
+    let which = args.positional().unwrap_or("all");
+    let full = args.flag("--full");
+    let smoke = args.flag("--smoke");
+    let sf = args.get::<f64>("--sf")?.unwrap_or(if full {
         1.0
     } else if smoke {
         0.01
     } else {
         0.05
     });
-    let placements: Vec<Placement> = flag_value(&args, "--placements")
-        .map(|list| {
-            list.split(',')
-                .map(|p| p.parse::<Placement>().unwrap_or_else(|e| panic!("{e}")))
-                .collect()
-        })
-        .unwrap_or_else(|| {
-            vec![Placement::CpuOnly, Placement::Hybrid, Placement::GpuOnly, Placement::Auto]
-        });
-    let packet_rows = flag_value(&args, "--packet-rows").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| panic!("--packet-rows expects a row count"))
+    let placements = args.list::<Placement>("--placements")?.unwrap_or_else(|| {
+        vec![Placement::CpuOnly, Placement::Hybrid, Placement::GpuOnly, Placement::Auto]
     });
-    // `--threads` as given; absent means "engine default" for the figure
-    // runs and the [1, max] comparison sweep for `--wall`.
-    let threads_flag: Option<Vec<usize>> = flag_value(&args, "--threads").map(|list| {
-        list.split(',')
-            .map(|t| {
-                t.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("--threads expects a list like 1,8"))
-                    .max(1)
-            })
-            .collect()
-    });
+    let packet_rows = args.get::<usize>("--packet-rows")?;
+    let threads = args.get::<usize>("--threads")?;
+    let users = args.get::<usize>("--users")?.unwrap_or(if smoke { 2_000 } else { 20_000 });
 
     // `--trace` / `--profile`: one traced TPC-H run under Auto feeds both
     // exporters — the Chrome JSON artifact and/or the profile table.
-    let trace_path = flag_value(&args, "--trace");
-    let profile = args.iter().any(|a| a == "--profile");
+    let trace_path = args.value("--trace");
+    let profile = args.flag("--profile");
     if trace_path.is_some() || profile {
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
         let trace = trace_tpch(sf, threads, packet_rows);
         if let Some(path) = trace_path {
             write_chrome_trace(&trace, path).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -227,14 +121,11 @@ fn main() {
         if profile {
             print!("{}", trace.render_profile());
         }
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    if args.iter().any(|a| a == "--verify") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("VERIFY_tpch.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
+    if args.flag("--verify") {
+        let out = args.value("--out").unwrap_or("VERIFY_tpch.json");
         let sweep = verify_tpch(sf, users);
         print_verify(&sweep);
         hape_bench::verify::write_json(&sweep, out)
@@ -242,19 +133,14 @@ fn main() {
         println!("wrote {out}");
         if !sweep.clean() {
             eprintln!("static and runtime verdicts disagree — see {out}");
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    if args.iter().any(|a| a == "--chaos") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("CHAOS_tpch.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
-        let seed = flag_value(&args, "--seed")
-            .map(|v| v.parse::<u64>().unwrap_or_else(|_| panic!("--seed expects a u64")))
-            .unwrap_or(42);
+    if args.flag("--chaos") {
+        let out = args.value("--out").unwrap_or("CHAOS_tpch.json");
+        let seed = args.get::<u64>("--seed")?.unwrap_or(42);
         let sweep = chaos_tpch(sf, users, seed);
         print_chaos(&sweep);
         hape_bench::chaos::write_json(&sweep, out)
@@ -262,52 +148,9 @@ fn main() {
         println!("wrote {out}");
         if !sweep.rows_identical() {
             eprintln!("a fault schedule changed an answer — see {out}");
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
-        return;
-    }
-
-    if args.iter().any(|a| a == "--behavioral") {
-        let out =
-            flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_behavioral.json");
-        let users = flag_value(&args, "--users")
-            .map(|v| v.parse::<usize>().unwrap_or_else(|_| panic!("--users expects a count")))
-            .unwrap_or(if smoke { 2_000 } else { 20_000 });
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        let bench = bench_behavioral(users, threads);
-        print_behavioral(&bench);
-        hape_bench::behavioral::write_json(&bench, out)
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--serve") {
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_serve.json");
-        let threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        let bench = bench_serve(sf, threads);
-        print_serve(&bench);
-        hape_bench::serve::write_json(&bench, out)
-            .unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
-    }
-
-    if args.iter().any(|a| a == "--wall") {
-        let threads = threads_flag.unwrap_or_else(|| {
-            let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if max > 1 {
-                vec![1, max]
-            } else {
-                vec![1]
-            }
-        });
-        let out = flag_value(&args, "--out").map(String::as_str).unwrap_or("BENCH_tpch.json");
-        let points = bench_tpch(sf, &placements, &threads, packet_rows);
-        print_wall(&points);
-        write_json(sf, &points, out).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-        println!("wrote {out}");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let run = |id: &str| which == "all" || which == id;
@@ -345,10 +188,10 @@ fn main() {
         print_figure(&fig7(&sizes));
     }
     if run("fig8") {
-        let fig8_threads = threads_flag.as_ref().and_then(|t| t.first().copied());
-        print_figure(&fig8_opts(sf, &placements, packet_rows, fig8_threads));
+        print_figure(&fig8(sf, &placements, packet_rows, threads));
     }
     if run("fig9") {
         print_figure(&fig9(sf));
     }
+    Ok(ExitCode::SUCCESS)
 }

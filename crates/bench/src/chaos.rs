@@ -25,15 +25,13 @@
 //!   Each cell records the worst relative error observed (`max_rel_err`)
 //!   so the artifact quantifies the round-off instead of hiding it.
 //!
-//! [`write_json`] serialises to `CHAOS_tpch.json` (hand-rolled — no serde
-//! in the offline workspace), regenerated by CI smoke and uploaded next to
-//! the `BENCH_*`/`VERIFY_*` artifacts.
+//! [`write_json`] serialises to `CHAOS_tpch.json`, regenerated by CI
+//! smoke and uploaded next to `VERIFY_tpch.json`.
 
 use hape_core::trace::TraceRecorder;
-use hape_core::{Engine, ExecConfig, FaultPlan, JoinAlgo, Placement};
-use hape_sim::topology::Server;
-use hape_tpch::events::{behavioral_queries, generate_events};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_core::{ExecConfig, FaultPlan, Placement};
+
+use crate::matrix::{json_str, run_matrix, write_sweep_json, Cell, Fields};
 
 /// One `(query, placement)` chaos cell: a clean run vs a faulted run.
 #[derive(Debug, Clone)]
@@ -115,14 +113,8 @@ fn rows_match<K: PartialEq>(a: &[(K, Vec<f64>)], b: &[(K, Vec<f64>)]) -> (bool, 
     (max_rel <= REL_TOL, max_rel)
 }
 
-fn chaos_one(
-    engine: &Engine,
-    catalog: &hape_core::Catalog,
-    plan: &hape_core::QueryPlan,
-    name: &str,
-    placement: Placement,
-    seed: u64,
-) -> ChaosPoint {
+fn chaos_one(cell: &Cell<'_>, seed: u64) -> ChaosPoint {
+    let Cell { engine, catalog, plan, placement } = *cell;
     let clean = engine.run(catalog, plan, &ExecConfig::new(placement));
     let recorder = TraceRecorder::new();
     let faulted_cfg = ExecConfig::new(placement)
@@ -143,7 +135,7 @@ fn chaos_one(
         _ => (false, f64::INFINITY, 1.0),
     };
     ChaosPoint {
-        query: name.to_string(),
+        query: plan.name.clone(),
         placement,
         clean_ok: clean.is_ok(),
         faulted_ok: faulted.is_ok(),
@@ -156,57 +148,12 @@ fn chaos_one(
     }
 }
 
-/// Sweep the TPC-H Q1/Q5/Q6/Q9 + behavioral B1–B4 × placement matrix:
-/// run every cell clean and under `FaultPlan::canonical(seed)`, recording
-/// fired faults, priced recovery work, the degradation ratio and the
-/// rows-identical bit.
+/// Sweep the benchmark matrix (TPC-H Q1/Q5/Q6/Q9* and B1–B4 × `cpu`,
+/// `gpu`, `hybrid`, `auto`): run every cell clean and under
+/// `FaultPlan::canonical(seed)`, recording fired faults, priced recovery
+/// work, the degradation ratio and the rows-identical bit.
 pub fn chaos_tpch(sf: f64, n_users: usize, seed: u64) -> ChaosSweep {
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    let mut points = Vec::new();
-
-    // TPC-H over the scaled testbed (the wall-clock sweep's setup).
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let engine = Engine::new(Server::tpch_scaled(sf));
-    let queries = vec![
-        ("Q1", q1_query()),
-        ("Q5", q5_query(JoinAlgo::Partitioned)),
-        ("Q6", q6_query()),
-        ("Q9*", q9_query(JoinAlgo::Partitioned)),
-    ];
-    for (name, q) in &queries {
-        let lowered = q.lower(&catalog).expect("TPC-H query lowers");
-        for placement in placements {
-            points.push(chaos_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                name,
-                placement,
-                seed,
-            ));
-        }
-    }
-
-    // The behavioral suite over the paper testbed (the stateful bench's
-    // setup).
-    let mut catalog = hape_core::Catalog::new();
-    catalog.register(generate_events(n_users, 7171));
-    let engine = Engine::new(Server::paper_testbed());
-    for q in behavioral_queries() {
-        let lowered = q.lower(&catalog).expect("behavioral query lowers");
-        for placement in placements {
-            points.push(chaos_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                &q.name,
-                placement,
-                seed,
-            ));
-        }
-    }
+    let points = run_matrix(sf, n_users, |cell| chaos_one(cell, seed));
     ChaosSweep { sf, n_users, seed, points }
 }
 
@@ -253,56 +200,51 @@ pub fn print_chaos(sweep: &ChaosSweep) {
     );
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Serialise the sweep to JSON (hand-rolled; the offline workspace has no
-/// serde). Stable shape: `{sf, n_users, seed, combos, faults_fired,
+/// Write the sweep to `path` (conventionally `CHAOS_tpch.json`) as JSON
+/// of the stable shape `{sf, n_users, seed, combos, faults_fired,
 /// rows_identical, points: [{query, placement, clean_ok, faulted_ok,
 /// injected, retries, replans, degraded_ratio, max_rel_err,
 /// rows_identical}]}`.
-pub fn to_json(sweep: &ChaosSweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"sf\": {},\n", sweep.sf));
-    out.push_str(&format!("  \"n_users\": {},\n", sweep.n_users));
-    out.push_str(&format!("  \"seed\": {},\n", sweep.seed));
-    out.push_str(&format!("  \"combos\": {},\n", sweep.points.len()));
-    out.push_str(&format!("  \"faults_fired\": {},\n", sweep.total_injected()));
-    out.push_str(&format!("  \"rows_identical\": {},\n", sweep.rows_identical()));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in sweep.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"placement\": \"{}\", \"clean_ok\": {}, \
-             \"faulted_ok\": {}, \"injected\": {}, \"retries\": {}, \"replans\": {}, \
-             \"degraded_ratio\": {:.6}, \"max_rel_err\": {:e}, \
-             \"rows_identical\": {}}}{}\n",
-            json_escape(&p.query),
-            p.placement,
-            p.clean_ok,
-            p.faulted_ok,
-            p.injected,
-            p.retries,
-            p.replans,
-            p.degraded_ratio,
-            p.max_rel_err,
-            p.rows_identical,
-            if i + 1 < sweep.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push('}');
-    out
+pub fn write_json(sweep: &ChaosSweep, path: &str) -> std::io::Result<()> {
+    write_sweep_json(path, &header(sweep), &points(sweep))
 }
 
-/// Write the sweep to `path` (conventionally `CHAOS_tpch.json`).
-pub fn write_json(sweep: &ChaosSweep, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, to_json(sweep) + "\n")
+fn header(sweep: &ChaosSweep) -> Fields {
+    vec![
+        ("sf", sweep.sf.to_string()),
+        ("n_users", sweep.n_users.to_string()),
+        ("seed", sweep.seed.to_string()),
+        ("combos", sweep.points.len().to_string()),
+        ("faults_fired", sweep.total_injected().to_string()),
+        ("rows_identical", sweep.rows_identical().to_string()),
+    ]
+}
+
+fn points(sweep: &ChaosSweep) -> Vec<Fields> {
+    sweep
+        .points
+        .iter()
+        .map(|p| {
+            vec![
+                ("query", json_str(&p.query)),
+                ("placement", json_str(&p.placement.to_string())),
+                ("clean_ok", p.clean_ok.to_string()),
+                ("faulted_ok", p.faulted_ok.to_string()),
+                ("injected", p.injected.to_string()),
+                ("retries", p.retries.to_string()),
+                ("replans", p.replans.to_string()),
+                ("degraded_ratio", format!("{:.6}", p.degraded_ratio)),
+                ("max_rel_err", format!("{:e}", p.max_rel_err)),
+                ("rows_identical", p.rows_identical.to_string()),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::sweep_json;
 
     #[test]
     fn smoke_sweep_survives_faults_with_identical_rows() {
@@ -350,7 +292,7 @@ mod tests {
                 );
             }
         }
-        let json = to_json(&sweep);
+        let json = sweep_json(&header(&sweep), &points(&sweep));
         assert!(json.contains("\"rows_identical\": true"));
         assert!(json.contains("\"combos\": 32"));
         assert!(json.ends_with('}'));

@@ -10,7 +10,9 @@ use hape_join::{
 use hape_sim::topology::Server;
 use hape_sim::{CpuCostModel, Fidelity, GpuSim, GpuSpec};
 use hape_storage::datagen::{gen_balanced_partition_keys, gen_unique_keys};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_tpch::queries::{base_catalog, q5_query};
+
+use crate::matrix::tpch_lowered;
 
 /// One line/bar series of a figure.
 #[derive(Debug, Clone)]
@@ -219,54 +221,32 @@ fn proteus_label(placement: Placement) -> &'static str {
 }
 
 /// **Figure 8** — TPC-H Q1/Q5/Q6/Q9* end-to-end with the paper's series:
-/// DBMS C, Proteus CPU, Proteus Hybrid, Proteus GPU, Proteus Auto, DBMS G.
-/// GPU memory scales with `sf/100` so the paper's SF-100 capacity effects
-/// reproduce (Q9's broadcast tables overflow the GPUs: the manual GPU
-/// placements fail while Auto plans the §5 co-processing stage).
-pub fn fig8(sf: f64) -> Figure {
-    fig8_with(sf, &[Placement::CpuOnly, Placement::Hybrid, Placement::GpuOnly, Placement::Auto])
-}
-
-/// [`fig8`] with a CLI-selectable Proteus placement list (one series per
-/// placement, between the DBMS C and DBMS G baselines): pass
-/// `Placement::Auto` to plot the cost-based optimizer against the manual
-/// placements — on Q9 it plans the intra-operator co-processing stage
-/// (§5) instead of retreating to the CPUs, with no hand-written fallback
-/// anywhere in the harness.
-pub fn fig8_with(sf: f64, placements: &[Placement]) -> Figure {
-    fig8_opts(sf, placements, None, None)
-}
-
-/// [`fig8_with`] with the execution knobs the CLI sweeps: an explicit
-/// packet size (`--packet-rows`, `None` = the auto heuristic in
-/// [`ExecConfig::auto_packet_rows`]) and a data-plane thread count
-/// (`--threads`, `None` = environment/host default). Both are wall-clock
-/// knobs for the Proteus series; simulated packet routing changes with
+/// DBMS C, one Proteus series per entry of `placements`, DBMS G. GPU
+/// memory scales with `sf/100` so the paper's SF-100 capacity effects
+/// reproduce: Q9's broadcast tables overflow the GPUs, so the manual GPU
+/// placements fail while `Placement::Auto` plans the §5 co-processing
+/// stage, with no hand-written fallback anywhere in the harness.
+///
+/// `packet_rows` overrides the packet-sizing heuristic
+/// ([`ExecConfig::auto_packet_rows`]) and `threads` pins the data-plane
+/// pool (`None`: the engine defaults). Simulated routing changes with
 /// packet size but never with threads.
-pub fn fig8_opts(
+pub fn fig8(
     sf: f64,
     placements: &[Placement],
     packet_rows: Option<usize>,
     threads: Option<usize>,
 ) -> Figure {
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let server = Server::tpch_scaled(sf);
+    let (server, queries) = tpch_lowered(sf);
     let engine = Engine::new(server.clone());
     let dbms_c = DbmsC::new(server.clone());
     let dbms_g = DbmsG::new(server);
-    let queries: Vec<(&str, hape_core::LoweredQuery)> = vec![
-        ("Q1", q1_query().lower(&catalog).expect("Q1 lowers")),
-        ("Q5", q5_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q5 lowers")),
-        ("Q6", q6_query().lower(&catalog).expect("Q6 lowers")),
-        ("Q9*", q9_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q9 lowers")),
-    ];
     let mut series: Vec<Series> = std::iter::once("DBMS C")
         .chain(placements.iter().map(|&p| proteus_label(p)))
         .chain(std::iter::once("DBMS G"))
         .map(|l| Series { label: l.to_string(), points: Vec::new() })
         .collect();
-    for (qi, (_name, q)) in queries.iter().enumerate() {
+    for (qi, q) in queries.iter().enumerate() {
         let x = qi as f64 + 1.0;
         series[0].points.push((
             x,
@@ -363,7 +343,7 @@ mod tests {
 
     #[test]
     fn fig8_auto_bar_completes_q9_where_gpu_only_cannot() {
-        let fig = fig8_with(0.01, &[Placement::GpuOnly, Placement::Auto]);
+        let fig = fig8(0.01, &[Placement::GpuOnly, Placement::Auto], None, None);
         assert_eq!(fig.series[1].label, "Proteus GPUs");
         assert_eq!(fig.series[2].label, "Proteus Auto");
         let q9 = fig.series[1].points.len() - 1;

@@ -3,37 +3,32 @@
 //! One function per evaluation figure (§6). Each returns a [`Figure`] whose
 //! series mirror the paper's legend, with simulated-time y-values. Default
 //! input sizes are scaled down from the paper's (the shapes, crossovers and
-//! ratios are the reproduction target — see `EXPERIMENTS.md`); `full`
-//! variants run at paper scale where memory permits.
+//! ratios are the reproduction target); `full` variants run at paper scale
+//! where memory permits.
+//!
+//! Next to the figures: two sweeps over one query × placement matrix,
+//! written by one JSON writer — static verification ([`verify`]) and
+//! clean-vs-faulted execution ([`chaos`]) — a traced TPC-H run
+//! ([`trace`]), and the flag parser the `figures` binary and the
+//! `tpch_hybrid` example share ([`cli`]). Wall-clock and per-layer
+//! performance is measured by the separate `perf/` benchmark package.
 
 #![forbid(unsafe_code)]
 
-pub mod behavioral;
+#[cfg(test)]
+mod behavioral;
 pub mod chaos;
+pub mod cli;
 pub mod figures;
-pub mod serve;
+mod matrix;
 pub mod trace;
 pub mod verify;
-pub mod wall;
 
-pub use behavioral::{bench_behavioral, print_behavioral, BehavioralBench, BehavioralPoint};
 pub use chaos::{chaos_tpch, print_chaos, ChaosPoint, ChaosSweep};
+pub use cli::{Args, CliError};
 pub use figures::{
     fig5, fig6, fig7, fig8, fig9, print_figure, Figure, Series, FIG6_DEFAULT_SIZES,
     FIG7_DEFAULT_SIZES,
 };
-pub use serve::{bench_serve, print_serve, ServeBatch, ServeBench};
 pub use trace::{trace_tpch, write_chrome_trace};
 pub use verify::{print_verify, verify_tpch, VerifyPoint, VerifySweep};
-pub use wall::{bench_tpch, print_wall, write_json, WallPoint};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::behavioral::{bench_behavioral, print_behavioral};
-    pub use crate::chaos::{chaos_tpch, print_chaos};
-    pub use crate::figures::{fig5, fig6, fig7, fig8, fig9, print_figure};
-    pub use crate::serve::{bench_serve, print_serve};
-    pub use crate::trace::{trace_tpch, write_chrome_trace};
-    pub use crate::verify::{print_verify, verify_tpch};
-    pub use crate::wall::{bench_tpch, print_wall, write_json};
-}

@@ -9,9 +9,9 @@
 //! the Chrome export's wall-time lane reflects the real elapsed time of
 //! this particular run.
 
-use hape_core::{Engine, ExecConfig, JoinAlgo, Placement, Trace, TraceRecorder};
-use hape_sim::topology::Server;
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_core::{Engine, ExecConfig, Placement, Trace, TraceRecorder};
+
+use crate::matrix::tpch_lowered;
 
 /// Run Q1/Q5/Q6/Q9* once each under [`Placement::Auto`] with tracing on
 /// and return the combined [`Trace`]: per-query/stage/packet spans, the
@@ -19,29 +19,22 @@ use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
 /// counters. `threads` pins the data-plane pool (wall-clock only);
 /// `packet_rows` overrides the auto packet-sizing heuristic.
 pub fn trace_tpch(sf: f64, threads: Option<usize>, packet_rows: Option<usize>) -> Trace {
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let engine = Engine::new(Server::tpch_scaled(sf));
+    let (server, queries) = tpch_lowered(sf);
+    let engine = Engine::new(server);
     let recorder = TraceRecorder::new();
-    let queries = vec![
-        ("Q1", q1_query().lower(&catalog).expect("Q1 lowers")),
-        ("Q5", q5_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q5 lowers")),
-        ("Q6", q6_query().lower(&catalog).expect("Q6 lowers")),
-        ("Q9*", q9_query(JoinAlgo::Partitioned).lower(&catalog).expect("Q9 lowers")),
-    ];
-    for (name, q) in &queries {
+    for q in &queries {
         let mut cfg = ExecConfig::new(Placement::Auto).with_trace(recorder.clone());
         cfg.threads = threads;
         cfg.packet_rows = packet_rows;
         engine
             .run(&q.catalog, &q.plan, &cfg)
-            .unwrap_or_else(|e| panic!("{name} completes under Auto: {e}"));
+            .unwrap_or_else(|e| panic!("{} completes under Auto: {e}", q.plan.name));
     }
     recorder.snapshot()
 }
 
 /// Write a trace's Chrome JSON export to `path` (conventionally
-/// `TRACE_tpch.json`, uploaded by CI next to the `BENCH_*.json` files).
+/// `TRACE_tpch.json`, uploaded by CI next to the sweep artifacts).
 pub fn write_chrome_trace(trace: &Trace, path: &str) -> std::io::Result<()> {
     std::fs::write(path, trace.to_chrome_json())
 }

@@ -13,16 +13,14 @@
 //!   manual `gpu` placement) must be flagged by the verifier too — the
 //!   static analysis predicts the runtime refusal.
 //!
-//! [`write_json`] serialises to `VERIFY_tpch.json` (hand-rolled — no
-//! serde in the offline workspace), regenerated by CI smoke and uploaded
-//! next to the `BENCH_*`/`TRACE_*` artifacts; the top-level `"clean"`
-//! flag is the machine-checkable acceptance bit.
+//! [`write_json`] serialises to `VERIFY_tpch.json`, regenerated by CI
+//! smoke and uploaded next to `CHAOS_tpch.json` and `TRACE_tpch.json`;
+//! the top-level `"clean"` flag is the machine-checkable acceptance bit.
 
 use hape_core::verify::check_placed;
-use hape_core::{optimize, place, Engine, ExecConfig, JoinAlgo, Placement};
-use hape_sim::topology::Server;
-use hape_tpch::events::{behavioral_queries, generate_events};
-use hape_tpch::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+use hape_core::{optimize, place, ExecConfig, Placement};
+
+use crate::matrix::{json_str, run_matrix, write_sweep_json, Cell, Fields};
 
 /// One `(query, placement)` verification cell.
 #[derive(Debug, Clone)]
@@ -63,13 +61,8 @@ impl VerifySweep {
     }
 }
 
-fn verify_one(
-    engine: &Engine,
-    catalog: &hape_core::Catalog,
-    plan: &hape_core::QueryPlan,
-    name: &str,
-    placement: Placement,
-) -> VerifyPoint {
+fn verify_one(cell: &Cell<'_>) -> VerifyPoint {
+    let Cell { engine, catalog, plan, placement } = *cell;
     let cfg = ExecConfig::new(placement);
     let placed = match placement {
         Placement::Auto => optimize(plan, catalog, &cfg, &engine.server),
@@ -79,7 +72,7 @@ fn verify_one(
         // The combination does not even place (the optimizer refused);
         // the engine would refuse identically, so the verdicts agree.
         return VerifyPoint {
-            query: name.to_string(),
+            query: plan.name.clone(),
             placement,
             placed: false,
             stages: 0,
@@ -94,7 +87,7 @@ fn verify_one(
         .collect();
     let engine_accepts = engine.run_placed(catalog, &placed).is_ok();
     VerifyPoint {
-        query: name.to_string(),
+        query: plan.name.clone(),
         placement,
         placed: true,
         stages: placed.stages.len(),
@@ -104,49 +97,11 @@ fn verify_one(
     }
 }
 
-/// Sweep the TPC-H Q1/Q5/Q6/Q9 + behavioral B1–B4 × placement matrix:
-/// statically verify every placed plan, execute it, and record whether
-/// the static and runtime verdicts agree.
+/// Sweep the benchmark matrix (TPC-H Q1/Q5/Q6/Q9* and B1–B4 × `cpu`,
+/// `gpu`, `hybrid`, `auto`): statically verify every placed plan, execute
+/// it, and record whether the static and runtime verdicts agree.
 pub fn verify_tpch(sf: f64, n_users: usize) -> VerifySweep {
-    let placements =
-        [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto];
-    let mut points = Vec::new();
-
-    // TPC-H over the scaled testbed (the wall-clock sweep's setup).
-    let data = hape_tpch::generate(sf, 420);
-    let catalog = base_catalog(&data);
-    let engine = Engine::new(Server::tpch_scaled(sf));
-    let queries = vec![
-        ("Q1", q1_query()),
-        ("Q5", q5_query(JoinAlgo::Partitioned)),
-        ("Q6", q6_query()),
-        ("Q9*", q9_query(JoinAlgo::Partitioned)),
-    ];
-    for (name, q) in &queries {
-        let lowered = q.lower(&catalog).expect("TPC-H query lowers");
-        for placement in placements {
-            points.push(verify_one(&engine, &lowered.catalog, &lowered.plan, name, placement));
-        }
-    }
-
-    // The behavioral suite over the paper testbed (the stateful bench's
-    // setup).
-    let mut catalog = hape_core::Catalog::new();
-    catalog.register(generate_events(n_users, 7171));
-    let engine = Engine::new(Server::paper_testbed());
-    for q in behavioral_queries() {
-        let lowered = q.lower(&catalog).expect("behavioral query lowers");
-        for placement in placements {
-            points.push(verify_one(
-                &engine,
-                &lowered.catalog,
-                &lowered.plan,
-                &q.name,
-                placement,
-            ));
-        }
-    }
-    VerifySweep { sf, n_users, points }
+    VerifySweep { sf, n_users, points: run_matrix(sf, n_users, verify_one) }
 }
 
 /// Render the sweep as an aligned table plus the verdict line.
@@ -178,53 +133,46 @@ pub fn print_verify(sweep: &VerifySweep) {
     println!("clean: {}", sweep.clean());
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Serialise the sweep to JSON (hand-rolled; the offline workspace has no
-/// serde). Stable shape: `{sf, n_users, combos, clean, points: [{query,
+/// Write the sweep to `path` (conventionally `VERIFY_tpch.json`) as JSON
+/// of the stable shape `{sf, n_users, combos, clean, points: [{query,
 /// placement, placed, stages, engine_accepts, agree, diagnostics: [..]}]}`.
-pub fn to_json(sweep: &VerifySweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"sf\": {},\n", sweep.sf));
-    out.push_str(&format!("  \"n_users\": {},\n", sweep.n_users));
-    out.push_str(&format!("  \"combos\": {},\n", sweep.points.len()));
-    out.push_str(&format!("  \"clean\": {},\n", sweep.clean()));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in sweep.points.iter().enumerate() {
-        let diags = p
-            .diagnostics
-            .iter()
-            .map(|d| format!("\"{}\"", json_escape(d)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"placement\": \"{}\", \"placed\": {}, \
-             \"stages\": {}, \"engine_accepts\": {}, \"agree\": {}, \
-             \"diagnostics\": [{diags}]}}{}\n",
-            json_escape(&p.query),
-            p.placement,
-            p.placed,
-            p.stages,
-            p.engine_accepts,
-            p.agree,
-            if i + 1 < sweep.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push('}');
-    out
+pub fn write_json(sweep: &VerifySweep, path: &str) -> std::io::Result<()> {
+    write_sweep_json(path, &header(sweep), &points(sweep))
 }
 
-/// Write the sweep to `path` (conventionally `VERIFY_tpch.json`).
-pub fn write_json(sweep: &VerifySweep, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, to_json(sweep) + "\n")
+fn header(sweep: &VerifySweep) -> Fields {
+    vec![
+        ("sf", sweep.sf.to_string()),
+        ("n_users", sweep.n_users.to_string()),
+        ("combos", sweep.points.len().to_string()),
+        ("clean", sweep.clean().to_string()),
+    ]
+}
+
+fn points(sweep: &VerifySweep) -> Vec<Fields> {
+    sweep
+        .points
+        .iter()
+        .map(|p| {
+            let diags =
+                p.diagnostics.iter().map(|d| json_str(d)).collect::<Vec<_>>().join(", ");
+            vec![
+                ("query", json_str(&p.query)),
+                ("placement", json_str(&p.placement.to_string())),
+                ("placed", p.placed.to_string()),
+                ("stages", p.stages.to_string()),
+                ("engine_accepts", p.engine_accepts.to_string()),
+                ("agree", p.agree.to_string()),
+                ("diagnostics", format!("[{diags}]")),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::sweep_json;
 
     #[test]
     fn smoke_sweep_agrees_everywhere_and_json_is_stable() {
@@ -257,7 +205,7 @@ mod tests {
                 "verifier must flag Q9's over-capacity broadcast: {q9_gpu:?}"
             );
         }
-        let json = to_json(&sweep);
+        let json = sweep_json(&header(&sweep), &points(&sweep));
         assert!(json.contains("\"clean\": true"));
         assert!(json.contains("\"combos\": 32"));
         assert!(json.ends_with('}'));

@@ -54,15 +54,6 @@ pub const GPU_WORKER_SEED_NS_PER_BYTE: f64 = 0.12;
 /// PCIe transfers against kernels, so they run deeper queues than a core.
 pub const GPU_PACKET_SHARE: usize = 4;
 
-/// Result of pushing one packet through a compiled pipeline.
-#[derive(Debug)]
-pub struct PacketResult {
-    /// Output rows (for build pipelines); `None` when aggregated away.
-    pub output: Option<Batch>,
-    /// Simulated device time consumed.
-    pub time: SimTime,
-}
-
 /// What a [`DeviceProvider`] reports after the control plane commits one
 /// routed packet against its clocks.
 #[derive(Debug, Clone, Copy)]
@@ -585,29 +576,6 @@ impl CpuProvider {
         }
         Ok(time)
     }
-
-    /// Push one packet through the fused pipeline.
-    ///
-    /// `agg` is this worker's partial aggregation state (for stream
-    /// pipelines). A probe of a never-built hash table is the typed
-    /// [`EngineError::HashTableNotBuilt`], not a panic.
-    pub fn run_packet(
-        &self,
-        packet: Batch,
-        pipeline: &Pipeline,
-        tables: &TableStore,
-        agg: Option<&mut AggState>,
-    ) -> Result<PacketResult, EngineError> {
-        let work = run_ops(packet, pipeline, tables, &mut Scratch::new())?;
-        let mut time = self.charge(&work, tables)?;
-        if let Some(state) = agg {
-            if work.out.rows() > 0 {
-                time += cpu_ops::agg_update(state, &work.out, &self.model);
-            }
-            return Ok(PacketResult { output: None, time });
-        }
-        Ok(PacketResult { output: Some(work.out), time })
-    }
 }
 
 /// The GPU device provider.
@@ -687,30 +655,6 @@ impl GpuProvider {
             time += gpu_ops::agg_cost(&self.sim, region, &work.out, spec).time;
         }
         Ok(time)
-    }
-
-    /// Push one packet through the fused pipeline as GPU kernels.
-    ///
-    /// `ht_regions` maps hash-table names to their device-memory regions
-    /// (placed there by the pre-stage broadcast `mem-move`).
-    pub fn run_packet(
-        &self,
-        packet: Batch,
-        pipeline: &Pipeline,
-        tables: &TableStore,
-        ht_regions: &HashMap<String, Region>,
-        agg: Option<&mut AggState>,
-    ) -> Result<PacketResult, EngineError> {
-        let work = run_ops(packet, pipeline, tables, &mut Scratch::new())?;
-        let spec = agg.as_ref().map(|s| s.spec().clone());
-        let time = self.charge(&work, spec.as_ref(), tables, ht_regions)?;
-        if let Some(state) = agg {
-            if work.out.rows() > 0 {
-                state.update(&work.out);
-            }
-            return Ok(PacketResult { output: None, time });
-        }
-        Ok(PacketResult { output: Some(work.out), time })
     }
 
     /// Charge a GPU join probe of `keys` against a device-resident table.
@@ -1165,18 +1109,21 @@ mod tests {
         let mut tables = TableStore::new();
         tables.insert("d".into(), dim_table());
         let p = pipeline();
+        let spec = p.agg.clone().unwrap();
 
         let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
-        let mut cpu_state = AggState::new(p.agg.clone().unwrap());
-        let r1 = cpu.run_packet(packet(1000), &p, &tables, Some(&mut cpu_state)).unwrap();
-        assert!(r1.output.is_none());
+        let w1 = run_ops(packet(1000), &p, &tables, &mut Scratch::new()).unwrap();
+        assert!(w1.folds, "a stream pipeline's output is folded, not returned");
+        let mut cpu_state = AggState::new(spec.clone());
+        let t1 = cpu.charge(&w1, &tables).unwrap()
+            + cpu_ops::agg_update(&mut cpu_state, &w1.out, &cpu.model);
 
         let gpu = GpuProvider { sim: GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic) };
-        let mut gpu_state = AggState::new(p.agg.clone().unwrap());
-        let r2 = gpu
-            .run_packet(packet(1000), &p, &tables, &HashMap::new(), Some(&mut gpu_state))
-            .unwrap();
-        assert!(r2.output.is_none());
+        let w2 = run_ops(packet(1000), &p, &tables, &mut Scratch::new()).unwrap();
+        assert!(w2.folds, "a stream pipeline's output is folded, not returned");
+        let t2 = gpu.charge(&w2, Some(&spec), &tables, &HashMap::new()).unwrap();
+        let mut gpu_state = AggState::new(spec);
+        gpu_state.update(&w2.out);
 
         let a = cpu_state.finish();
         let b = gpu_state.finish();
@@ -1184,31 +1131,39 @@ mod tests {
         // 50 keys of 0..100 are even and survive the filter.
         assert_eq!(a[0].1[0], 50.0);
         assert_eq!(a[0].1[1], (0..50).map(|i| (i * 2 * 10) as f64).sum::<f64>());
-        assert!(r1.time.as_ns() > 0.0);
-        assert!(r2.time.as_ns() > 0.0);
+        assert!(t1.as_ns() > 0.0);
+        assert!(t2.as_ns() > 0.0);
     }
 
     #[test]
     fn build_pipeline_returns_output() {
         let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
         let p = Pipeline::scan("t").filter(Expr::lt(Expr::col(0), Expr::LitI32(10)));
-        let r = cpu.run_packet(packet(100), &p, &TableStore::new(), None).unwrap();
-        let out = r.output.unwrap();
-        assert_eq!(out.rows(), 10);
+        let work = run_ops(packet(100), &p, &TableStore::new(), &mut Scratch::new()).unwrap();
+        assert!(!work.folds, "a build pipeline returns its output");
+        assert!(cpu.charge(&work, &TableStore::new()).unwrap().as_ns() > 0.0);
+        assert_eq!(work.out.rows(), 10);
     }
 
     #[test]
     fn unbuilt_hash_table_is_a_typed_error() {
-        let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
         let p = Pipeline::scan("t").join("ghost", 0, vec![], JoinAlgo::NonPartitioned);
-        let err = cpu.run_packet(packet(16), &p, &TableStore::new(), None).unwrap_err();
+        let err = run_ops(packet(16), &p, &TableStore::new(), &mut Scratch::new()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::HashTableNotBuilt { ref table } if table == "ghost")
+        );
+        // Pricing a recorded probe against a store that lacks its table is
+        // the same typed error on both providers.
+        let mut tables = TableStore::new();
+        tables.insert("ghost".into(), dim_table());
+        let work = run_ops(packet(16), &p, &tables, &mut Scratch::new()).unwrap();
+        let cpu = CpuProvider { model: CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12) };
+        let err = cpu.charge(&work, &TableStore::new()).unwrap_err();
         assert!(
             matches!(err, EngineError::HashTableNotBuilt { ref table } if table == "ghost")
         );
         let gpu = GpuProvider { sim: GpuSim::new(GpuSpec::gtx_1080(), Fidelity::Analytic) };
-        let err = gpu
-            .run_packet(packet(16), &p, &TableStore::new(), &HashMap::new(), None)
-            .unwrap_err();
+        let err = gpu.charge(&work, None, &TableStore::new(), &HashMap::new()).unwrap_err();
         assert!(matches!(err, EngineError::HashTableNotBuilt { .. }));
     }
 
@@ -1236,13 +1191,17 @@ mod tests {
         let part = Pipeline::scan("t")
             .join("big", 0, vec![1], JoinAlgo::Partitioned)
             .aggregate(AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))]));
-        let mut s1 = AggState::new(npj.agg.clone().unwrap());
-        let mut s2 = AggState::new(part.agg.clone().unwrap());
-        let t_npj =
-            gpu.run_packet(probe.clone(), &npj, &tables, &regions, Some(&mut s1)).unwrap().time;
-        let t_part =
-            gpu.run_packet(probe, &part, &tables, &regions, Some(&mut s2)).unwrap().time;
-        assert_eq!(s1.finish(), s2.finish());
+        let mut scratch = Scratch::new();
+        let mut run = |p: &Pipeline, packet: Batch| {
+            let work = run_ops(packet, p, &tables, &mut scratch).unwrap();
+            let time = gpu.charge(&work, p.agg.as_ref(), &tables, &regions).unwrap();
+            let mut state = AggState::new(p.agg.clone().unwrap());
+            state.update(&work.out);
+            (time, state.finish())
+        };
+        let (t_npj, r_npj) = run(&npj, probe.clone());
+        let (t_part, r_part) = run(&part, probe);
+        assert_eq!(r_npj, r_part);
         assert!(t_part.as_secs() < t_npj.as_secs(), "partitioned {t_part} !< npj {t_npj}");
     }
 
@@ -1288,28 +1247,6 @@ mod tests {
         }
         let rows = merged.finish();
         assert_eq!(rows[0].1[0], 100.0); // both workers saw 50 matches
-    }
-
-    #[test]
-    fn run_packet_equals_split_charge_plus_commit() {
-        // The compatibility wrapper and the split planes must price a
-        // packet identically — the bit-identity the control plane's replay
-        // rests on.
-        let mut tables = TableStore::new();
-        tables.insert("d".into(), dim_table());
-        let p = pipeline();
-        let agg = p.agg.clone().unwrap();
-        let model = CpuCostModel::new(CpuSpec::xeon_e5_2650l_v3(), 12);
-        let cpu = CpuProvider { model: model.clone() };
-        let mut state = AggState::new(agg.clone());
-        let whole = cpu.run_packet(packet(1000), &p, &tables, Some(&mut state)).unwrap().time;
-
-        let mut worker = CpuWorker::new(0, 0, model, Some(AggState::new(agg.clone())));
-        let work = run_ops(packet(1000), &p, &tables, &mut Scratch::new()).unwrap();
-        let base = worker.charge(&work, Some(&agg), &tables).unwrap();
-        let out = worker.commit_packet(&work, base, SimTime::ZERO);
-        assert_eq!(out.done, whole, "split planes diverge from the fused path");
-        assert_eq!(worker.busy(), whole);
     }
 
     #[test]

@@ -386,8 +386,9 @@ impl TraceCtx {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -9,7 +9,7 @@
 use hape_sim::{BlockCtx, GpuSim, KernelReport, LaunchConfig, Region, SimTime};
 use hape_storage::Batch;
 
-use crate::agg::{AggSpec, AggState};
+use crate::agg::AggSpec;
 use crate::expr::{eval_bool, Expr};
 
 /// Rows each thread block processes.
@@ -105,9 +105,10 @@ pub fn filter(
     (out, report)
 }
 
-/// Cost-only replay of [`agg_update`]: charges the fused-aggregation
-/// kernel for `batch` under `spec` without folding any state — the fold
-/// itself runs on the data plane, in routed packet order.
+/// GPU aggregation cost: per-block partial aggregates in the scratchpad.
+/// Charges the fused-aggregation kernel for `batch` under `spec` without
+/// folding any state — the fold itself ([`crate::AggState::update`]) runs on the
+/// data plane, in routed packet order.
 pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> KernelReport {
     let rows = batch.rows();
     let mut row_bytes = 0u64;
@@ -144,20 +145,6 @@ pub fn agg_cost(sim: &GpuSim, region: Region, batch: &Batch, spec: &AggSpec) -> 
     })
 }
 
-/// GPU aggregation: per-block partial aggregates in the scratchpad, folded
-/// into the host-side [`AggState`] (the cross-device merge the router
-/// performs in plan-level co-processing).
-pub fn agg_update(
-    sim: &GpuSim,
-    region: Region,
-    batch: &Batch,
-    state: &mut AggState,
-) -> KernelReport {
-    let spec = state.spec().clone();
-    state.update(batch);
-    agg_cost(sim, region, batch, &spec)
-}
-
 /// Cost-only helper: a fused streaming pass of `bytes` through a GPU
 /// pipeline stage (used for scans and for projections whose outputs stay in
 /// registers).
@@ -178,7 +165,7 @@ pub fn stream_pass(sim: &GpuSim, region: Region, bytes: u64, ops_per_item: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggFunc;
+    use crate::agg::{AggFunc, AggState};
     use hape_sim::{Fidelity, GpuSpec};
     use hape_storage::Column;
 
@@ -214,7 +201,8 @@ mod tests {
         ]);
         let mut st = AggState::new(spec);
         let region = Region::at(1 << 20, b.bytes());
-        let report = agg_update(&sim(), region, &b, &mut st);
+        let report = agg_cost(&sim(), region, &b, st.spec());
+        st.update(&b);
         let rows = st.finish();
         assert_eq!(rows[0].1[0], (0..10_000u64).sum::<u64>() as f64);
         assert_eq!(rows[0].1[1], 10_000.0);

@@ -2,9 +2,8 @@
 //!
 //! In-memory columnar tables with cheap zero-copy slicing (the unit of
 //! engine-level data flow is a [`Batch`] — the paper's "packet"), dictionary
-//! encoding for strings, placement tags over the server's memory nodes, a
-//! binary columnar file format (the paper's input format, §6.4), and the
-//! data generators used by the evaluation (uniform/shuffled join keys,
+//! encoding for strings, placement tags over the server's memory nodes, and
+//! the data generators used by the evaluation (uniform/shuffled join keys,
 //! partition-balanced keys for the Figure 5 study, Zipf for skew tests).
 //!
 //! Every storage type is `Send + Sync` by construction (Arc-backed shared
@@ -29,7 +28,6 @@ const _: () = {
 pub mod column;
 pub mod datagen;
 pub mod dict;
-pub mod format;
 pub mod table;
 
 pub use column::{Column, ColumnData};
@@ -38,7 +36,6 @@ pub use datagen::{
     gen_zipf_i32, JoinTablePair,
 };
 pub use dict::Dictionary;
-pub use format::{read_table, write_table, FormatError};
 pub use table::{Batch, DataType, Field, Schema, Table};
 
 /// Commonly used items.

@@ -20,12 +20,14 @@ pub mod reference;
 pub use dates::{date, Date};
 pub use events::{behavioral_queries, events_catalog, generate_events};
 pub use gen::{generate, TpchData};
-pub use queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+pub use queries::{base_catalog, q1_query, q5_query, q6_query, q9_query, tpch_queries};
 pub use reference::{q1_reference, q5_reference, q6_reference, q9_reference};
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::events::{behavioral_queries, events_catalog, generate_events};
     pub use crate::gen::{generate, TpchData};
-    pub use crate::queries::{base_catalog, q1_query, q5_query, q6_query, q9_query};
+    pub use crate::queries::{
+        base_catalog, q1_query, q5_query, q6_query, q9_query, tpch_queries,
+    };
 }

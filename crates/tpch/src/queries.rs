@@ -124,6 +124,17 @@ pub fn q9_query(algo: JoinAlgo) -> Query {
         )])
 }
 
+/// The Figure 8 query list: Q1, Q5, Q6 and Q9*, with the partitioned GPU
+/// join for Q5 and Q9*. Each query's [`Query::name`] labels it.
+pub fn tpch_queries() -> Vec<Query> {
+    vec![
+        q1_query(),
+        q5_query(JoinAlgo::Partitioned),
+        q6_query(),
+        q9_query(JoinAlgo::Partitioned),
+    ]
+}
+
 /// Suppliers with their nation name attached — Q9's build side.
 fn q9_suppliers(algo: JoinAlgo) -> Query {
     Query::scan("supplier").join(Query::scan("nation"), "s_nationkey", "n_nationkey", algo)

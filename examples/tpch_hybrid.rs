@@ -15,7 +15,7 @@
 //! ```text
 //! cargo run --release --example tpch_hybrid [sf] [--explain]
 //!     [--placements cpu,gpu,hybrid,auto] [--packet-rows <n>] [--threads <n>]
-//!     [--concurrency <n>] [--trace <path>] [--profile]
+//!     [--concurrency <n>]
 //! ```
 //!
 //! `--packet-rows` overrides the engine's auto packet-sizing heuristic
@@ -38,118 +38,49 @@
 //! exactly as in the solo table. `--packet-rows` and `--threads` apply to
 //! every submission in both modes.
 //!
-//! `--trace <path>` re-runs the four queries under the cost-based
-//! optimizer with the execution tracing plane attached and writes the
-//! Chrome trace JSON (load it in `chrome://tracing` or Perfetto);
-//! `--profile` prints the deterministic predicted-vs-observed per-stage
-//! profile table from the same traced run.
+//! For a traced run (Chrome trace JSON or the predicted-vs-observed
+//! profile table) use `figures --trace <path>` / `figures --profile`.
 //!
-//! Unknown `--flags` are rejected with an error and the usage synopsis —
-//! a typo like `--concurency 4` aborts instead of silently running the
-//! solo matrix.
+//! Unknown `--flags` and unparsable values are rejected with an error and
+//! the usage synopsis — a typo like `--concurency 4` aborts instead of
+//! silently running the solo matrix.
+
+use std::process::ExitCode;
 
 use hape::core::serve::SessionServer;
-use hape::core::trace::TraceRecorder;
 use hape::core::{ExecConfig, JoinAlgo, PlacedStage, Placement, Session};
 use hape::sim::topology::Server;
-use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
+use hape::tpch::queries::{q9_query, tpch_queries};
+use hape_bench::cli::{parse_value, Args, CliError};
 
 /// Flags that take a value.
-const VALUE_FLAGS: [&str; 5] =
-    ["--placements", "--packet-rows", "--threads", "--concurrency", "--trace"];
+const VALUE_FLAGS: [&str; 4] = ["--placements", "--packet-rows", "--threads", "--concurrency"];
 /// Flags that stand alone.
-const BOOL_FLAGS: [&str; 2] = ["--explain", "--profile"];
+const BOOL_FLAGS: [&str; 1] = ["--explain"];
 
 const USAGE: &str = "usage: tpch_hybrid [sf] [--explain] \
                      [--placements cpu,gpu,hybrid,auto] [--packet-rows <n>] \
-                     [--threads <n>] [--concurrency <n>] [--trace <path>] [--profile]";
+                     [--threads <n>] [--concurrency <n>]";
 
-/// A rejected command line — typed, so a typo aborts with the usage
-/// synopsis instead of silently running without the intended flag.
-#[derive(Debug)]
-enum CliError {
-    /// A `--flag` that is neither a value flag nor a boolean flag.
-    UnknownFlag(String),
-    /// A value flag at the end of the line, with nothing following it.
-    MissingValue(String),
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
-            CliError::MissingValue(flag) => write!(f, "{flag} expects a value"),
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            ExitCode::from(2)
         }
     }
 }
 
-impl std::error::Error for CliError {}
-
-/// Every argument must be a known flag, a known flag's value, or the
-/// positional scale factor.
-fn validate_args(args: &[String]) -> Result<(), CliError> {
-    let mut is_value = false;
-    for a in args {
-        if is_value {
-            is_value = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            is_value = true;
-            continue;
-        }
-        if BOOL_FLAGS.contains(&a.as_str()) {
-            continue;
-        }
-        if a.starts_with("--") {
-            return Err(CliError::UnknownFlag(a.clone()));
-        }
-    }
-    if is_value {
-        return Err(CliError::MissingValue(args.last().expect("non-empty").clone()));
-    }
-    Ok(())
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = validate_args(&args) {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2);
-    }
-    let value_at: Vec<usize> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| VALUE_FLAGS.contains(&a.as_str()))
-        .map(|(i, _)| i + 1)
-        .collect();
-    // The scale factor is the first positional argument — skipping flags
-    // and their values.
-    let sf: f64 = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !value_at.contains(i))
-        .and_then(|(_, a)| a.parse().ok())
-        .unwrap_or(0.05);
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    let placements: Vec<Placement> = flag_value("--placements")
-        .map(|list| {
-            list.split(',')
-                .map(|p| p.parse::<Placement>().unwrap_or_else(|e| panic!("{e}")))
-                .collect()
-        })
-        .unwrap_or_else(|| {
-            vec![Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto]
-        });
-    let packet_rows: Option<usize> = flag_value("--packet-rows")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--packet-rows expects a row count")));
-    let threads: Option<usize> = flag_value("--threads")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--threads expects a thread count")));
-    let concurrency: Option<usize> = flag_value("--concurrency")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--concurrency expects a copy count")));
-    let trace_path: Option<String> = flag_value("--trace").cloned();
-    let profile = args.iter().any(|a| a == "--profile");
+fn run() -> Result<(), CliError> {
+    let args = Args::parse(std::env::args().skip(1), &VALUE_FLAGS, &BOOL_FLAGS)?;
+    let sf: f64 = args.positional().map(|v| parse_value("sf", v)).transpose()?.unwrap_or(0.05);
+    let placements = args.list::<Placement>("--placements")?.unwrap_or_else(|| {
+        vec![Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid, Placement::Auto]
+    });
+    let packet_rows = args.get::<usize>("--packet-rows")?;
+    let threads = args.get::<usize>("--threads")?;
+    let concurrency = args.get::<usize>("--concurrency")?;
     println!("generating TPC-H at SF {sf} …");
     let data = hape::tpch::generate(sf, 42);
     // GPU memory scales with SF so the paper's SF-100 capacity effects hold.
@@ -169,7 +100,7 @@ fn main() {
         cfg
     };
 
-    if args.iter().any(|a| a == "--explain") {
+    if args.flag("--explain") {
         // Q9 under Auto renders the optimizer's headline decision: the
         // stream stage becomes a co-processing stage (CPU co-partition →
         // per-GPU single-pass joins) with its cost decomposition.
@@ -178,19 +109,14 @@ fn main() {
         println!("{}", session.explain_with(&q9, &cfg).expect("Q9 places"));
     }
 
-    let queries = vec![
-        ("Q1", q1_query()),
-        ("Q5", q5_query(JoinAlgo::Partitioned)),
-        ("Q6", q6_query()),
-        ("Q9*", q9_query(JoinAlgo::Partitioned)),
-    ];
+    let queries = tpch_queries();
     print!("{:<5}", "query");
     for p in &placements {
         print!(" {:>16}", p.to_string());
     }
     println!();
-    for (name, query) in &queries {
-        print!("{name:<5}");
+    for query in &queries {
+        print!("{:<5}", query.name);
         for &placement in &placements {
             let cfg = mk_cfg(placement);
             // Q9's hash tables exceed GPU memory (§6.4): the manual GPU
@@ -227,11 +153,11 @@ fn main() {
     if let Some(copies) = concurrency {
         let mut server = SessionServer::new(session.clone());
         let mut handles = Vec::new();
-        for (name, query) in &queries {
+        for query in &queries {
             for &placement in &placements {
                 for _ in 0..copies {
                     handles.push((
-                        name,
+                        &query.name,
                         placement,
                         server.submit_with(query, &mk_cfg(placement)),
                     ));
@@ -261,31 +187,5 @@ fn main() {
             stats.misses
         );
     }
-
-    // `--trace` / `--profile`: one traced run of the four queries under
-    // the optimizer feeds both exporters. Recording is a pure observer —
-    // the traced makespans match the `auto` column above bit-for-bit.
-    if trace_path.is_some() || profile {
-        let recorder = TraceRecorder::new();
-        for (name, query) in &queries {
-            let cfg = mk_cfg(Placement::Auto).with_trace(recorder.clone());
-            session
-                .execute_with(query, &cfg)
-                .unwrap_or_else(|e| panic!("{name} completes under auto: {e}"));
-        }
-        let trace = recorder.snapshot();
-        if let Some(path) = &trace_path {
-            std::fs::write(path, trace.to_chrome_json())
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!(
-                "\nwrote {path} ({} spans, {} counters)",
-                trace.spans.len(),
-                trace.counters.len()
-            );
-        }
-        if profile {
-            println!();
-            print!("{}", trace.render_profile());
-        }
-    }
+    Ok(())
 }

@@ -8,8 +8,9 @@
 //! 2. **TPC-H sweep**: `Auto` picks a valid placement for every query —
 //!    row-identical to `CpuOnly`, including Q9, which completes where the
 //!    manual GPU placements hit the §6.4 out-of-memory failure.
-//! 3. **Makespan**: on Q1/Q5/Q6 the optimizer's simulated makespan is no
-//!    worse than the best of the three manual placements.
+//! 3. **Makespan**: on Q1/Q5/Q6, and on B1–B4 over 2 000 users, the
+//!    optimizer's simulated makespan is no worse than the best of the
+//!    three manual placements.
 //! 4. **Explain snapshot**: Q5 under `Auto` renders the chosen subsets
 //!    with per-stage cost estimates.
 //! 5. **Co-processing regression** (the tentpole): Auto plans Q9's stream
@@ -26,6 +27,7 @@ use hape::ops::{col, AggFunc};
 use hape::sim::topology::Server;
 use hape::sim::SimTime;
 use hape::storage::datagen::gen_key_fk_table;
+use hape::tpch::events::{behavioral_queries, generate_events};
 use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::rows_approx_eq;
 
@@ -264,21 +266,46 @@ fn auto_q9_is_no_slower_than_the_old_hand_written_hybrid() {
     );
 }
 
-#[test]
-fn auto_makespan_is_no_worse_than_the_best_manual_placement() {
-    let session = tpch_session();
-    for query in [q1_query(), q5_query(JoinAlgo::Partitioned), q6_query()] {
-        let auto =
-            session.execute_with(&query, &ExecConfig::new(Placement::Auto)).unwrap().time;
-        let mut best = None::<hape::sim::SimTime>;
+/// Asserts that `Auto`'s simulated makespan is no worse than the best
+/// manual placement's on every query.
+fn assert_auto_no_worse_than_best_manual(session: &Session, queries: &[Query]) {
+    for query in queries {
+        let auto = session
+            .execute_with(query, &ExecConfig::new(Placement::Auto))
+            .unwrap_or_else(|e| panic!("{} under Auto: {e}", query.name))
+            .time;
+        let mut best = None::<SimTime>;
         for placement in [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid] {
-            if let Ok(rep) = session.execute_with(&query, &ExecConfig::new(placement)) {
-                best = Some(best.map_or(rep.time, |b: hape::sim::SimTime| b.min(rep.time)));
+            if let Ok(rep) = session.execute_with(query, &ExecConfig::new(placement)) {
+                best = Some(best.map_or(rep.time, |b: SimTime| b.min(rep.time)));
             }
         }
         let best = best.expect("at least one manual placement runs");
         assert!(auto <= best, "{}: Auto {auto} slower than best manual {best}", query.name);
     }
+}
+
+/// B1–B4 over an `n_users`-user event log (seed 7171) on the paper
+/// testbed.
+fn behavioral_session(n_users: usize) -> Session {
+    let mut session = Session::new(Server::paper_testbed());
+    session.register(generate_events(n_users, 7171));
+    session
+}
+
+#[test]
+fn auto_makespan_is_no_worse_than_the_best_manual_placement() {
+    assert_auto_no_worse_than_best_manual(
+        &tpch_session(),
+        &[q1_query(), q5_query(JoinAlgo::Partitioned), q6_query()],
+    );
+    assert_auto_no_worse_than_best_manual(&behavioral_session(2_000), &behavioral_queries());
+}
+
+#[test]
+#[ignore = "known defect: at 20 000 users B4 auto takes 140.1 µs simulated against 118.5 µs for cpu"]
+fn auto_makespan_is_no_worse_than_the_best_manual_placement_at_20k_users() {
+    assert_auto_no_worse_than_best_manual(&behavioral_session(20_000), &behavioral_queries());
 }
 
 const Q5_AUTO_EXPLAIN: &str = "\
