@@ -25,7 +25,7 @@ use std::sync::Arc;
 use hape_ops::agg::AggState;
 use hape_ops::{AggSpec, GroupKey};
 use hape_sim::topology::{DeviceId, Server};
-use hape_sim::{CpuCostModel, Fidelity, SimTime};
+use hape_sim::{pool, CpuCostModel, Fidelity, SimTime};
 use hape_storage::Batch;
 
 use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput, OutputMode};
@@ -33,12 +33,12 @@ use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput
 use crate::catalog::Catalog;
 use crate::error::PlanError;
 use crate::exchange::{CandidateLoad, Exchange, Router, RoutingPolicy};
-use crate::fault::{FaultPlan, FaultSession, HealthRegistry, PacketFault};
+use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage, Segment};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
 use crate::provider::{
-    gather_matches, run_ops, CostClass, CpuWorker, DeviceProvider, GpuWorker, PacketWork,
-    Scratch, TableStore,
+    gather_matches, run_ops, CpuWorker, DeviceProvider, GpuWorker, PacketWork, Scratch,
+    TableStore,
 };
 use crate::runtime;
 use crate::trace::{Span, SpanKind, TraceCtx, TraceRecorder};
@@ -242,15 +242,78 @@ pub struct Engine {
 /// Aggregated result rows, sorted by group key.
 type AggRows = Vec<(GroupKey, Vec<f64>)>;
 
-/// What one placed stage reported back to the interpreter.
-struct StageOutcome {
-    outputs: Vec<Batch>,
+/// The simulated clock and counters a run adds to its query: where its
+/// simulated interval ends, busy times, host-to-device bytes and packets.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
     end: SimTime,
     cpu_busy: SimTime,
     gpu_busy: SimTime,
     h2d_bytes: u64,
     packets_cpu: usize,
     packets_gpu: usize,
+}
+
+impl Tally {
+    /// The one accumulator: `next` ran after `self`, so its end is the new
+    /// end and its counters add on.
+    fn then(self, next: Tally) -> Tally {
+        Tally {
+            end: next.end,
+            cpu_busy: self.cpu_busy + next.cpu_busy,
+            gpu_busy: self.gpu_busy + next.gpu_busy,
+            h2d_bytes: self.h2d_bytes + next.h2d_bytes,
+            packets_cpu: self.packets_cpu + next.packets_cpu,
+            packets_gpu: self.packets_gpu + next.packets_gpu,
+        }
+    }
+}
+
+/// What one segment run — or one whole co-process stage — reported back to
+/// the interpreter.
+struct StageOutcome {
+    /// A non-aggregating pipeline's packet outputs, in packet order.
+    outputs: Vec<Batch>,
+    /// An aggregating pipeline's state: the workers' partial states merged
+    /// in worker order.
+    agg: Option<AggState>,
+    tally: Tally,
+}
+
+impl StageOutcome {
+    /// The aggregate's result rows (empty for a non-aggregating run).
+    fn rows(&self) -> AggRows {
+        self.agg.as_ref().map(AggState::finish).unwrap_or_default()
+    }
+}
+
+/// The inputs that stay fixed while one placed stage runs, borrowed once and
+/// shared by every segment run inside it (the co-process prefix and suffix
+/// included).
+struct StageEnv<'s> {
+    engine: &'s Engine,
+    catalog: &'s Catalog,
+    tables: &'s TableStore,
+    /// Tables already in device memory (the serving layer's cross-query
+    /// cache installed them): GPU workers still account their footprint but
+    /// skip the broadcast transfer and partition prep.
+    resident: &'s HashSet<String>,
+    policy: RoutingPolicy,
+    /// The explicit packet-size override (see
+    /// [`ExecConfig::auto_packet_rows`]).
+    packet_rows: Option<usize>,
+    threads: usize,
+    faults: &'s FaultSession,
+    ctx: &'s TraceCtx,
+}
+
+/// Where a segment run's packets come from.
+#[derive(Clone, Copy)]
+enum Input<'b> {
+    /// The pipeline's catalog source table.
+    Source,
+    /// An in-memory batch: the co-process suffix's joined rows.
+    Batch(&'b Batch),
 }
 
 impl Engine {
@@ -337,12 +400,7 @@ impl Engine {
             threads: runtime::resolve_threads(placed.threads)?,
             tables: TableStore::new(),
             resident: HashSet::new(),
-            clock: SimTime::ZERO,
-            cpu_busy: SimTime::ZERO,
-            gpu_busy: SimTime::ZERO,
-            h2d_bytes: 0,
-            packets_cpu: 0,
-            packets_gpu: 0,
+            tally: Tally::default(),
             builds_cached: 0,
             rows: Vec::new(),
             next_stage: 0,
@@ -352,15 +410,15 @@ impl Engine {
         })
     }
 
-    /// Materialise a (non-aggregating) pipeline on the CPU workers against
+    /// Materialise a (non-aggregating) pipeline on all CPU cores against
     /// an explicit table store. Returns the output batch, the completion
     /// time (relative to `start`) and the CPU busy time.
     ///
-    /// Historically this was the hook the hand-written Q9 hybrid runner
-    /// built on; the optimizer-planned co-processing stage now
-    /// materialises its prefix internally
-    /// ([`crate::place::PlacedStage::CoProcess`]), and this hook remains
-    /// for benchmarks and custom drivers that stage pipelines explicitly.
+    /// Placed plans never come through here — the co-processing stage
+    /// materialises its prefix through the same segment runner. This hook
+    /// exists for the co-processing makespan yardstick in
+    /// `tests/auto_placement.rs`, which rebuilds the old hand-written Q9
+    /// hybrid from it.
     pub fn materialize_cpu(
         &self,
         catalog: &Catalog,
@@ -373,75 +431,51 @@ impl Engine {
                 stage: pipeline.source.clone(),
             }));
         }
-        let segments = self.cpu_segments();
-        let out = self.run_stage(
-            catalog,
-            pipeline,
-            &segments,
-            RoutingPolicy::LoadAware,
-            None,
-            tables,
-            &HashSet::new(),
-            start,
-            None,
-            runtime::resolve_threads(None)?,
-            &FaultSession::disabled(),
-            &TraceCtx::disabled(),
-        )?;
-        Ok((concat_outputs(out.outputs), out.end, out.cpu_busy))
-    }
-
-    /// Build a named hash table by materialising `pipeline` on the CPU.
-    pub fn build_join_table(
-        &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        key_col: usize,
-        tables: &TableStore,
-        start: SimTime,
-    ) -> Result<(Arc<JoinTable>, SimTime, SimTime), EngineError> {
-        let (batch, end, busy) = self.materialize_cpu(catalog, pipeline, tables, start)?;
-        Ok((Arc::new(JoinTable::build(batch, key_col)), end, busy))
-    }
-
-    /// Ad-hoc CPU-side segments for the explicit materialisation hooks
-    /// (which predate placement and take a bare pipeline).
-    fn cpu_segments(&self) -> Vec<Segment> {
-        crate::place::participants(Placement::CpuOnly, &self.server)
+        let segments: Vec<Segment> = participants(Placement::CpuOnly, &self.server)
             .into_iter()
             .map(|d| Segment {
                 target: d,
                 traits: crate::place::segment_traits(d, &self.server),
                 exchanges: Vec::new(),
             })
-            .collect()
+            .collect();
+        let env = StageEnv {
+            engine: self,
+            catalog,
+            tables,
+            resident: &HashSet::new(),
+            policy: RoutingPolicy::LoadAware,
+            packet_rows: None,
+            threads: runtime::resolve_threads(None)?,
+            faults: &FaultSession::disabled(),
+            ctx: &TraceCtx::disabled(),
+        };
+        let out = env.run(pipeline, &segments, Input::Source, start)?;
+        Ok((concat_outputs(out.outputs), out.tally.end, out.tally.cpu_busy))
     }
+}
 
+impl StageEnv<'_> {
     /// Instantiate the workers a segment list describes: one
     /// [`CpuWorker`] per core of a CPU segment, one [`GpuWorker`] per GPU
     /// segment. A segment targeting a device this server lacks is the
-    /// typed [`EngineError::DeviceNotPresent`]. Tables named in `resident`
-    /// are already in device memory (the serving layer's cross-query
-    /// cache installed them): GPU workers still account their footprint
-    /// but skip the broadcast transfer and partition prep.
-    ///
-    /// The fault plane hooks in here: a segment targeting a quarantined
-    /// GPU is the typed [`EngineError::DeviceFailed`] (which the stepper
-    /// recovers from by re-placing on the surviving fleet), and a GPU
-    /// under an active `DeviceSlow` fault gets its PCIe link bandwidth
-    /// derated before the worker prices anything.
-    fn workers_for(
+    /// typed [`EngineError::DeviceNotPresent`]; one targeting a GPU the
+    /// fault plane excluded is the recoverable
+    /// [`EngineError::DeviceFailed`], and a GPU under an active
+    /// `DeviceSlow` fault gets its PCIe link bandwidth derated before the
+    /// worker prices anything.
+    fn workers(
         &self,
         segments: &[Segment],
         agg: Option<&AggSpec>,
-        resident: &HashSet<String>,
-        faults: &FaultSession,
     ) -> Result<Vec<Box<dyn DeviceProvider>>, EngineError> {
+        let server = &self.engine.server;
         let mut workers: Vec<Box<dyn DeviceProvider>> = Vec::new();
         for seg in segments {
+            self.faults.ensure_usable(seg.target)?;
             match seg.target {
                 DeviceId::Cpu(socket) => {
-                    let spec = self.server.cpus.get(socket).ok_or_else(|| {
+                    let spec = server.cpus.get(socket).ok_or_else(|| {
                         EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
                     })?;
                     let model = CpuCostModel::new(spec.clone(), spec.cores);
@@ -455,21 +489,16 @@ impl Engine {
                     }
                 }
                 DeviceId::Gpu(idx) => {
-                    if faults.is_active() && faults.is_excluded(idx) {
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{idx}") });
-                    }
                     let (spec, link) =
-                        self.server.gpus.get(idx).zip(self.server.pcie.get(idx)).ok_or_else(
-                            || EngineError::DeviceNotPresent { device: format!("gpu{idx}") },
-                        )?;
+                        server.gpus.get(idx).zip(server.pcie.get(idx)).ok_or_else(|| {
+                            EngineError::DeviceNotPresent { device: format!("gpu{idx}") }
+                        })?;
                     let mut link = link.clone();
-                    if faults.is_active() {
-                        if let Some(f) = faults.health().slow_factor(idx) {
-                            // A degraded link: every transfer this stage
-                            // prices — broadcasts, packets, build pulls —
-                            // pays the derated bandwidth.
-                            link.bw /= f;
-                        }
+                    if let Some(f) = self.faults.link_slowdown(idx) {
+                        // A degraded link: every transfer this stage prices
+                        // — broadcasts, packets, build pulls — pays the
+                        // derated bandwidth.
+                        link.bw /= f;
                     }
                     // The segment's broadcast mem-move exchanges are the
                     // authoritative list of tables the worker installs.
@@ -485,11 +514,11 @@ impl Engine {
                             idx,
                             spec.clone(),
                             link,
-                            self.fidelity,
+                            self.engine.fidelity,
                             agg.map(|a| AggState::new(a.clone())),
                             broadcast,
                         )
-                        .with_resident(resident.clone()),
+                        .with_resident(self.resident.clone()),
                     ));
                 }
             }
@@ -497,84 +526,239 @@ impl Engine {
         Ok(workers)
     }
 
-    /// Run one placed stage: instantiate its workers and route the source
-    /// packets over them.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage(
+    /// The segment runner: every Build, Stream and co-process segment run
+    /// goes through here. It instantiates the segments' workers (one
+    /// `dyn DeviceProvider` each — no knowledge of device classes beyond
+    /// the trait), splits `input` into packets, and runs the two-plane
+    /// packet loop from `start`.
+    fn run(
         &self,
-        catalog: &Catalog,
         pipeline: &Pipeline,
         segments: &[Segment],
-        policy: RoutingPolicy,
-        agg: Option<&AggSpec>,
-        tables: &TableStore,
-        resident: &HashSet<String>,
+        input: Input<'_>,
         start: SimTime,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
     ) -> Result<StageOutcome, EngineError> {
-        let mut workers = self.workers_for(segments, agg, resident, faults)?;
-        self.run_workers(
-            catalog,
-            pipeline,
-            &mut workers,
-            policy,
-            tables,
-            start,
-            packet_rows,
-            threads,
-            faults,
-            ctx,
-        )
+        let agg_spec = pipeline.agg.as_ref();
+        let mut workers = self.workers(segments, agg_spec)?;
+        let (data, from_source) = match input {
+            Input::Source => (&self.catalog.lookup(&pipeline.source)?.data, true),
+            Input::Batch(batch) => (batch, false),
+        };
+        if workers.is_empty() {
+            return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
+        }
+        let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
+        let rows_per_packet =
+            ExecConfig::auto_packet_rows(data.rows(), shares, self.packet_rows);
+        // Stateful aggregates consume whole per-user runs, so their packet
+        // boundaries snap to user boundaries (plan validation guarantees
+        // only filters precede the op, making its user column a valid
+        // source-table index). The split is computed once, before any
+        // worker sees a packet, so it is identical at every thread count.
+        let packets = match pipeline.stateful_agg() {
+            Some(agg) if from_source => {
+                hape_ops::stateful::split_user_aligned(data, agg.user_col(), rows_per_packet)
+            }
+            _ => data.split(rows_per_packet),
+        };
+        self.packet_loop(&packets, pipeline, &mut workers, start)
+    }
+
+    /// The packet loop proper, over pre-split packets. Execution is split
+    /// into the engine's two planes:
+    ///
+    /// 1. **Data plane (parallel)** — every packet runs the canonical
+    ///    fused-kernel pass ([`run_ops`]) exactly once on the
+    ///    [`hape_sim::pool`] and is priced per worker *cost class*
+    ///    ([`DeviceProvider::charge`]). Results are pure per packet.
+    /// 2. **Control plane (sequential)** — the router replays the exact
+    ///    sequential semantics on the coordinator: per-packet candidate
+    ///    `ready_at` state, the pick, the fault plane's commit hook
+    ///    ([`FaultSession::on_commit`]) and the commit against the routed
+    ///    worker's simulated clocks ([`DeviceProvider::commit_packet`]), in
+    ///    packet order. Simulated makespans are therefore bit-identical at
+    ///    any thread count.
+    /// 3. **Data plane again** — each worker folds the packets routed to
+    ///    it into its partial aggregation state, in routed order, one
+    ///    fold job per worker on the same pool; the partial states merge at
+    ///    the stage barrier in worker order.
+    fn packet_loop(
+        &self,
+        packets: &[Batch],
+        pipeline: &Pipeline,
+        workers: &mut [Box<dyn DeviceProvider>],
+        start: SimTime,
+    ) -> Result<StageOutcome, EngineError> {
+        let (tables, faults, ctx) = (self.tables, self.faults, self.ctx);
+
+        // ---- Broadcast the probed hash tables along each worker's input
+        // exchanges (a no-op for host-local workers) and check capacities.
+        let mut h2d_bytes = 0u64;
+        for w in workers.iter_mut() {
+            faults.on_install(&**w, ctx)?;
+            h2d_bytes += w.install_tables(pipeline, tables, start)?;
+        }
+        if h2d_bytes > 0 {
+            ctx.add("h2d.broadcast_bytes", h2d_bytes);
+        }
+
+        // ---- Cost classes: one charge per packet per distinct class,
+        // not per worker (all cores of a socket share a model). `reps`
+        // holds each class's first worker.
+        let mut reps: Vec<usize> = Vec::new();
+        let class_of: Vec<usize> = (0..workers.len())
+            .map(|wi| {
+                let c = workers[wi].cost_class();
+                reps.iter().position(|&r| workers[r].cost_class() == c).unwrap_or_else(|| {
+                    reps.push(wi);
+                    reps.len() - 1
+                })
+            })
+            .collect();
+
+        // ---- Phase 1, data plane: kernels once per packet, priced per
+        // class, on the worker pool.
+        let agg_spec = pipeline.agg.as_ref();
+        let shared: &[Box<dyn DeviceProvider>] = workers;
+        let charged = pool::scatter(
+            self.threads,
+            packets.len(),
+            |t| (Scratch::new(), t),
+            |i, (scratch, thread): &mut (Scratch, usize)| {
+                let wall_start = ctx.now_ns();
+                let work = run_ops(packets[i].clone(), pipeline, tables, scratch)?;
+                let costs = reps
+                    .iter()
+                    .map(|&r| shared[r].charge(&work, agg_spec, tables))
+                    .collect::<Result<Vec<SimTime>, EngineError>>()?;
+                // Traced runs measure the packet's wall interval and pool
+                // thread here; the control plane records the span.
+                let span = ctx.is_enabled().then(|| {
+                    Span::new(SpanKind::Packet, format!("packet {i}"), "")
+                        .pool_thread(*thread)
+                        .at_wall(wall_start, ctx.now_ns())
+                        .rows(packets[i].rows() as u64, work.out.rows() as u64)
+                });
+                Ok::<_, EngineError>((work, costs, span))
+            },
+        );
+        // First error in packet order — the same packet the sequential
+        // loop would have tripped on.
+        let mut works = charged.into_iter().collect::<Result<Vec<_>, EngineError>>()?;
+
+        // ---- Phase 2, control plane: sequential routing + sim-time
+        // accounting, replaying worker `ready_at` state in packet order.
+        let mut router = Router::new(self.policy);
+        let mut end = start;
+        let mut packets_cpu = 0usize;
+        let mut packets_gpu = 0usize;
+        let mut picks: Vec<usize> = Vec::with_capacity(works.len());
+        for (i, (work, costs, span)) in works.iter_mut().enumerate() {
+            let bytes = work.bytes.max(1);
+            let candidates: Vec<CandidateLoad> = workers
+                .iter()
+                .map(|w| CandidateLoad {
+                    ready_at: w.ready_at(start, bytes),
+                    est_ns_per_byte: w.est_ns_per_byte(),
+                })
+                .collect();
+            let pick = router.pick(&packets[i], &candidates);
+            let w = &mut workers[pick];
+            faults.on_commit(&mut **w, i, bytes, start, ctx)?;
+            let outcome = w.commit_packet(work, costs[class_of[pick]], start);
+            end = end.max(outcome.done);
+            h2d_bytes += outcome.h2d_bytes;
+            match w.device() {
+                DeviceType::Cpu => packets_cpu += 1,
+                DeviceType::Gpu => packets_gpu += 1,
+            }
+            picks.push(pick);
+            if let Some(span) = span.take() {
+                let span = span.at_sim(candidates[pick].ready_at, outcome.done);
+                trace_packet(ctx, span, &**w, work, outcome.h2d_bytes);
+            }
+        }
+
+        // ---- Phase 3: a build's outputs, or — data plane again — one
+        // fold job per worker over the packets routed to it, in routed
+        // order.
+        let mut outputs = Vec::new();
+        let mut routed: Vec<Vec<Batch>> = workers.iter().map(|_| Vec::new()).collect();
+        for ((work, _, _), pick) in works.into_iter().zip(picks) {
+            if work.out.rows() == 0 {
+                continue;
+            }
+            match agg_spec {
+                Some(_) => routed[pick].push(work.out),
+                None => outputs.push(work.out),
+            }
+        }
+        let jobs: Vec<_> =
+            workers.iter_mut().zip(routed).filter(|(_, mine)| !mine.is_empty()).collect();
+        pool::drain(self.threads, jobs, |(w, mine)| {
+            for b in &mine {
+                w.fold_packet(b);
+            }
+        });
+
+        // ---- The stage barrier: partial states merge in worker order.
+        let agg = agg_spec.map(|spec| {
+            let mut merged = AggState::new(spec.clone());
+            for a in workers.iter().filter_map(|w| w.agg()) {
+                merged.merge(a);
+            }
+            merged
+        });
+        let busy_of = |device: DeviceType| {
+            workers.iter().filter(|w| w.device() == device).map(|w| w.busy()).sum()
+        };
+        Ok(StageOutcome {
+            outputs,
+            agg,
+            tally: Tally {
+                end,
+                cpu_busy: busy_of(DeviceType::Cpu),
+                gpu_busy: busy_of(DeviceType::Gpu),
+                h2d_bytes,
+                packets_cpu,
+                packets_gpu,
+            },
+        })
     }
 
     /// Run a placed co-processing stage
     /// ([`crate::place::PlacedStage::CoProcess`], §5):
     ///
-    /// 1. the CPU segments' device providers run the pipeline *prefix*
-    ///    (every operator before the final probe) through the ordinary
-    ///    packet loop, materialising the intermediate;
+    /// 1. the CPU segments run the pipeline *prefix* (every operator before
+    ///    the final probe) through the segment runner, materialising the
+    ///    intermediate;
     /// 2. the intermediate is co-partitioned against the final probe's
     ///    hash table and joined via `hape_join::coprocess_join_on` over
     ///    the stage's GPU lanes — each lane priced and capacity-checked
     ///    against its own spec, link and budget;
     /// 3. the match pairs are gathered into the same physical layout an
-    ///    in-pipeline probe would produce, and the remaining operators
-    ///    plus the terminal aggregation fold on the CPU workers.
+    ///    in-pipeline probe would produce; the remaining operators plus
+    ///    the terminal aggregation run through the segment runner on the
+    ///    CPU workers, or — when the probe feeds the aggregation directly
+    ///    — through the fused fold.
     ///
     /// All failures are typed [`EngineError`]s — the skew/capacity cases
     /// surface as [`EngineError::OversizedCoPartition`], never a panic.
-    #[allow(clippy::too_many_arguments)]
-    fn run_coprocess_stage(
+    fn run_coprocess(
         &self,
-        catalog: &Catalog,
         pipeline: &Pipeline,
+        agg_spec: &AggSpec,
         ht: &str,
         segments: &[Segment],
-        policy: RoutingPolicy,
         gpus: &[DeviceId],
-        tables: &TableStore,
-        resident: &HashSet<String>,
         start: SimTime,
-        agg_spec: &AggSpec,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<(AggRows, StageOutcome), EngineError> {
-        // The co-processed join drives its GPU lanes outside the generic
-        // packet loop, so quarantined lanes are checked up front.
-        if faults.is_active() {
-            for d in gpus {
-                if let DeviceId::Gpu(g) = d {
-                    if faults.is_excluded(*g) {
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
-                    }
-                }
-            }
+    ) -> Result<StageOutcome, EngineError> {
+        // The co-processed join drives its GPU lanes outside the packet
+        // loop, so the lanes pass the workers' exclusion check up front.
+        for &d in gpus {
+            self.faults.ensure_usable(d)?;
         }
+        let ctx = self.ctx;
         // ---- Split the pipeline at its final probe.
         let probe_idx = match pipeline.last_probe() {
             Some((idx, probe_ht)) if probe_ht == ht => idx,
@@ -584,7 +768,8 @@ impl Engine {
         else {
             return Err(EngineError::InvalidCoProcessStage { table: ht.to_string() });
         };
-        let jt = tables
+        let jt = self
+            .tables
             .get(ht)
             .ok_or_else(|| EngineError::HashTableNotBuilt { table: ht.to_string() })?;
 
@@ -595,34 +780,20 @@ impl Engine {
             agg: None,
         };
         let wall_prefix_start = ctx.now_ns();
-        let pre = self.run_stage(
-            catalog,
-            &prefix,
-            segments,
-            policy,
-            None,
-            tables,
-            resident,
-            start,
-            packet_rows,
-            threads,
-            faults,
-            ctx,
-        )?;
+        let pre = self.run(&prefix, segments, Input::Source, start)?;
         let inter = concat_outputs(pre.outputs);
+        let pre_end = pre.tally.end;
         let wall_prefix_end = ctx.now_ns();
 
         // ---- 2. Co-partition + single-pass GPU joins on the stage's
         // lanes. Sides follow the §5 convention: the (smaller) build side
         // is R, the streamed intermediate is S; values are row indices so
-        // the match pairs address both batches.
+        // the match pairs address both batches. The lanes' tally holds the
+        // CPU co-partitioning passes, the GPU joins and their transfers,
+        // and one packet per co-partition.
         let mut joined = Batch::empty();
-        let mut join_time = SimTime::ZERO;
         let mut first_join_done = SimTime::ZERO;
-        let mut cpu_partition_time = SimTime::ZERO;
-        let mut gpu_busy = SimTime::ZERO;
-        let mut h2d_bytes = 0u64;
-        let mut packets_gpu = 0usize;
+        let mut lanes = Tally { end: pre_end, ..Tally::default() };
         if inter.rows() > 0 {
             // Zero-copy: the co-partitioner reads the Arc-backed key
             // column slice directly; no per-stage key vector is built.
@@ -641,11 +812,11 @@ impl Engine {
                 cpu_workers: segments.iter().map(|s| s.traits.dop).sum(),
                 variant: BuildProbeVariant::Sm,
                 mode: OutputMode::MatchIndices,
-                fidelity: self.fidelity,
-                threads,
+                fidelity: self.engine.fidelity,
+                threads: self.threads,
             };
             let rep = coprocess_join_on(
-                &self.server,
+                &self.engine.server,
                 &gpu_ids,
                 JoinInput::new(&jt.keys, &build_vals),
                 JoinInput::new(probe_keys, &probe_vals),
@@ -654,12 +825,15 @@ impl Engine {
             if let Some((build_rows, probe_rows)) = rep.outcome.pairs.as_ref() {
                 joined = gather_matches(&inter, jt, probe_rows, build_rows, build_payload_cols);
             }
-            join_time = rep.outcome.time;
             first_join_done = rep.first_join_done;
-            cpu_partition_time = rep.cpu_partition_time;
-            gpu_busy = rep.gpu_busy;
-            h2d_bytes = rep.h2d_bytes;
-            packets_gpu = rep.per_gpu_assignments.iter().sum();
+            lanes = Tally {
+                end: pre_end + rep.outcome.time,
+                cpu_busy: rep.cpu_partition_time,
+                gpu_busy: rep.gpu_busy,
+                h2d_bytes: rep.h2d_bytes,
+                packets_cpu: 0,
+                packets_gpu: rep.per_gpu_assignments.iter().sum(),
+            };
             if ctx.is_enabled() {
                 // One co-partition assignment per lane: the per-lane
                 // packet counters the profile's packet breakdown reads.
@@ -669,7 +843,7 @@ impl Engine {
                 ctx.add("h2d.packet_bytes", rep.h2d_bytes);
             }
         }
-        let join_end = pre.end + join_time;
+        let join_end = lanes.end;
         let wall_join_end = ctx.now_ns();
 
         // ---- 3. Remaining operators + aggregation on the CPU workers.
@@ -678,456 +852,135 @@ impl Engine {
         // before the first co-partition's join lands *and* the CPUs have
         // finished the co-partitioning passes; the stage ends when both
         // the last join and the fold have finished.
-        let fold_start = pre.end + first_join_done.max(cpu_partition_time);
+        let fold_start = pre_end + first_join_done.max(lanes.cpu_busy);
         let suffix_ops = &pipeline.ops[probe_idx + 1..];
-        let (rows, end, fold_cpu_busy, fold_h2d, fold_packets_cpu);
-        if suffix_ops.is_empty() {
-            // The §5 shape: the co-processed probe feeds the aggregation
-            // directly, so the match pairs stream through registers into
-            // the fold (fused consumption) — expression evaluation plus
-            // group-table random accesses, spread over the CPU workers; no
-            // rematerialised scan of the joined rows.
-            let socket = segments
-                .iter()
-                .find_map(|s| match s.target {
-                    DeviceId::Cpu(socket) => Some(socket),
-                    DeviceId::Gpu(_) => None,
-                })
-                .ok_or_else(|| EngineError::InvalidCoProcessStage { table: ht.to_string() })?;
-            let spec = self.server.cpus.get(socket).ok_or_else(|| {
-                EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
-            })?;
-            let model = CpuCostModel::new(spec.clone(), spec.cores);
-            let dop: usize = segments.iter().map(|s| s.traits.dop).sum();
-            // The fold rides the same worker pool as the packet loop:
-            // deterministic per-dop chunks folded in parallel, partial
-            // states merged in chunk order (thread-count-independent),
-            // charged exactly what the single-pass fold charges — the
-            // same expression work plus random accesses into the final
-            // group table.
-            let mut state = AggState::new(agg_spec.clone());
-            let fold_busy = if joined.rows() > 0 {
-                let chunk_rows = ExecConfig::auto_packet_rows(joined.rows(), dop, None);
-                let chunks = joined.split(chunk_rows);
-                let partials = runtime::scatter(
-                    threads,
-                    chunks.len(),
-                    |_| (),
-                    |i, _scratch| {
-                        let mut partial = AggState::new(agg_spec.clone());
-                        partial.update(&chunks[i]);
-                        partial
-                    },
-                );
-                for p in &partials {
-                    state.merge(p);
-                }
-                hape_ops::cpu::agg_cost(
-                    agg_spec,
-                    joined.rows() as u64,
-                    state.n_groups(),
-                    &model,
-                )
-            } else {
-                SimTime::ZERO
-            };
-            let fold_time = fold_busy / (dop.max(1) as f64 * 0.9);
-            rows = state.finish();
-            end = (fold_start + fold_time).max(join_end);
-            fold_cpu_busy = fold_busy;
-            fold_h2d = 0;
-            fold_packets_cpu = 0;
+        let fold = if suffix_ops.is_empty() {
+            self.fused_fold(agg_spec, &joined, ht, segments, fold_start)?
         } else {
             // Operators remain after the co-processed probe: the joined
-            // rows genuinely re-enter the generic packet loop on the CPU
-            // workers.
+            // rows re-enter the segment runner on the CPU workers.
             let suffix = Pipeline {
                 source: pipeline.source.clone(),
                 ops: suffix_ops.to_vec(),
                 agg: pipeline.agg.clone(),
             };
-            let mut workers = self.workers_for(segments, Some(agg_spec), resident, faults)?;
-            let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-            let packets = if joined.rows() > 0 {
-                joined.split(ExecConfig::auto_packet_rows(joined.rows(), shares, packet_rows))
-            } else {
-                Vec::new()
-            };
-            let post = self.packet_loop(
-                &packets,
-                &suffix,
-                &mut workers,
-                policy,
-                tables,
-                fold_start,
-                threads,
-                faults,
-                ctx,
-            )?;
-            let mut merged = AggState::new(agg_spec.clone());
-            for w in &workers {
-                if let Some(a) = w.agg() {
-                    merged.merge(a);
-                }
-            }
-            rows = merged.finish();
-            end = post.end.max(join_end);
-            fold_cpu_busy = post.cpu_busy;
-            fold_h2d = post.h2d_bytes;
-            fold_packets_cpu = post.packets_cpu;
-        }
+            self.run(&suffix, segments, Input::Batch(&joined), fold_start)?
+        };
+        let mut tally = pre.tally.then(lanes).then(fold.tally);
+        tally.end = tally.end.max(join_end);
 
         if ctx.is_enabled() {
             // The §5 phase spans: CPU prefix, the co-partitioned GPU
             // lanes, and the overlapping CPU fold.
             let wall_fold_end = ctx.now_ns();
+            let groups = fold.agg.as_ref().map_or(0, AggState::n_groups);
             ctx.record(
                 Span::new(SpanKind::Phase, "coprocess prefix", "")
-                    .at_sim(start, pre.end)
+                    .at_sim(start, pre_end)
                     .at_wall(wall_prefix_start, wall_prefix_end)
                     .rows(0, inter.rows() as u64),
             );
             ctx.record(
                 Span::new(SpanKind::Phase, format!("coprocess lanes {ht}"), "")
-                    .at_sim(pre.end, join_end)
+                    .at_sim(pre_end, join_end)
                     .at_wall(wall_prefix_end, wall_join_end)
                     .rows(inter.rows() as u64, joined.rows() as u64),
             );
             ctx.record(
                 Span::new(SpanKind::Phase, "coprocess fold", "")
-                    .at_sim(fold_start, end)
+                    .at_sim(fold_start, tally.end)
                     .at_wall(wall_join_end, wall_fold_end)
-                    .rows(joined.rows() as u64, rows.len() as u64),
+                    .rows(joined.rows() as u64, groups as u64),
             );
         }
-
-        Ok((
-            rows,
-            StageOutcome {
-                outputs: Vec::new(),
-                end,
-                cpu_busy: pre.cpu_busy + cpu_partition_time + fold_cpu_busy,
-                gpu_busy: pre.gpu_busy + gpu_busy,
-                h2d_bytes: pre.h2d_bytes + h2d_bytes + fold_h2d,
-                packets_cpu: pre.packets_cpu + fold_packets_cpu,
-                packets_gpu,
-            },
-        ))
+        Ok(StageOutcome { outputs: Vec::new(), agg: fold.agg, tally })
     }
 
-    /// The generic packet loop over a catalog source: one router, N
-    /// `dyn DeviceProvider` workers, no knowledge of device classes beyond
-    /// the trait.
-    #[allow(clippy::too_many_arguments)]
-    fn run_workers(
+    /// The §5 shape of the co-process fold: the co-processed probe feeds
+    /// the aggregation directly, so the match pairs stream through
+    /// registers into the fold (fused consumption) — expression evaluation
+    /// plus group-table random accesses, spread over the CPU workers; no
+    /// rematerialised scan of the joined rows. The fold keeps its own
+    /// charge: it is a model term, not a packet loop.
+    fn fused_fold(
         &self,
-        catalog: &Catalog,
-        pipeline: &Pipeline,
-        workers: &mut [Box<dyn DeviceProvider>],
-        policy: RoutingPolicy,
-        tables: &TableStore,
+        agg_spec: &AggSpec,
+        joined: &Batch,
+        ht: &str,
+        segments: &[Segment],
         start: SimTime,
-        packet_rows: Option<usize>,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
     ) -> Result<StageOutcome, EngineError> {
-        let table = catalog.lookup(&pipeline.source)?;
-        if workers.is_empty() {
-            return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
-        }
-        let shares: usize = workers.iter().map(|w| w.packet_share()).sum();
-        let rows_per_packet = ExecConfig::auto_packet_rows(table.rows(), shares, packet_rows);
-        // Stateful aggregates consume whole per-user runs, so their packet
-        // boundaries snap to user boundaries (plan validation guarantees
-        // only filters precede the op, making its user column a valid
-        // source-table index). The split is computed once, before any
-        // worker sees a packet, so it is identical at every thread count.
-        let packets = match pipeline.stateful_agg() {
-            Some(agg) => hape_ops::stateful::split_user_aligned(
-                &table.data,
-                agg.user_col(),
-                rows_per_packet,
-            ),
-            None => table.data.split(rows_per_packet),
-        };
-        self.packet_loop(
-            &packets, pipeline, workers, policy, tables, start, threads, faults, ctx,
-        )
-    }
-
-    /// The packet loop proper, over pre-split packets — also driven
-    /// directly by the co-processing stage for its post-join remainder
-    /// (whose input is an in-memory batch, not a catalog table).
-    ///
-    /// Execution is split into the engine's two planes:
-    ///
-    /// 1. **Data plane (parallel)** — every packet runs the canonical
-    ///    fused-kernel pass ([`run_ops`]) exactly once on the
-    ///    [`runtime`] pool and is priced per worker *cost class*
-    ///    ([`DeviceProvider::charge`]). Results are pure per packet.
-    /// 2. **Control plane (sequential)** — the router replays today's
-    ///    exact semantics on the coordinator: per-packet candidate
-    ///    `ready_at` state, the pick, and the commit against the routed
-    ///    worker's simulated clocks ([`DeviceProvider::commit_packet`]),
-    ///    in packet order. Simulated makespans are therefore
-    ///    bit-identical at any thread count.
-    /// 3. **Data plane again** — each worker folds the packets routed to
-    ///    it into its partial aggregation state, in routed order, one
-    ///    fold job per worker on the same pool; partial states merge at
-    ///    the stage barrier in worker order as before.
-    #[allow(clippy::too_many_arguments)]
-    fn packet_loop(
-        &self,
-        packets: &[Batch],
-        pipeline: &Pipeline,
-        workers: &mut [Box<dyn DeviceProvider>],
-        policy: RoutingPolicy,
-        tables: &TableStore,
-        start: SimTime,
-        threads: usize,
-        faults: &FaultSession,
-        ctx: &TraceCtx,
-    ) -> Result<StageOutcome, EngineError> {
-        if workers.is_empty() {
-            return Err(EngineError::NoWorkers { placement: "placed stage".to_string() });
-        }
-        let traced = ctx.is_enabled();
-
-        // ---- Broadcast the probed hash tables along each worker's input
-        // exchanges (a no-op for host-local workers) and check capacities.
-        // An armed `BroadcastOom` fault fires here: the allocation for the
-        // broadcast copy fails, the device is quarantined, and the typed
-        // `DeviceFailed` hands recovery to the stepper's re-placement
-        // loop.
-        let mut h2d_bytes = 0u64;
-        for w in workers.iter_mut() {
-            if faults.is_active() {
-                if let Some(g) = w.gpu_index() {
-                    if faults.oom_at_install(g) {
-                        if traced {
-                            ctx.record(Span::new(
-                                SpanKind::Fault,
-                                format!("broadcast OOM on gpu{g}"),
-                                "",
-                            ));
-                            ctx.add("fault.injected", 1);
-                        }
-                        return Err(EngineError::DeviceFailed { device: format!("gpu{g}") });
-                    }
-                }
+        let socket = segments
+            .iter()
+            .find_map(|s| match s.target {
+                DeviceId::Cpu(socket) => Some(socket),
+                DeviceId::Gpu(_) => None,
+            })
+            .ok_or_else(|| EngineError::InvalidCoProcessStage { table: ht.to_string() })?;
+        let spec =
+            self.engine.server.cpus.get(socket).ok_or_else(|| {
+                EngineError::DeviceNotPresent { device: format!("cpu{socket}") }
+            })?;
+        let model = CpuCostModel::new(spec.clone(), spec.cores);
+        let dop: usize = segments.iter().map(|s| s.traits.dop).sum();
+        // The fold rides the same worker pool as the packet loop:
+        // deterministic per-dop chunks folded in parallel, partial states
+        // merged in chunk order (thread-count-independent), charged
+        // exactly what the single-pass fold charges — the same expression
+        // work plus random accesses into the final group table.
+        let mut state = AggState::new(agg_spec.clone());
+        let busy = if joined.rows() > 0 {
+            let chunk_rows = ExecConfig::auto_packet_rows(joined.rows(), dop, None);
+            let chunks = joined.split(chunk_rows);
+            let partials = pool::scatter(
+                self.threads,
+                chunks.len(),
+                |_| (),
+                |i, _scratch| {
+                    let mut partial = AggState::new(agg_spec.clone());
+                    partial.update(&chunks[i]);
+                    partial
+                },
+            );
+            for p in &partials {
+                state.merge(p);
             }
-            h2d_bytes += w.install_tables(pipeline, tables, start)?;
-        }
-        if traced && h2d_bytes > 0 {
-            ctx.add("h2d.broadcast_bytes", h2d_bytes);
-        }
-
-        // ---- Cost classes: one charge per packet per distinct class,
-        // not per worker (all cores of a socket share a model).
-        let mut classes: Vec<CostClass> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::with_capacity(workers.len());
-        let mut reps: Vec<usize> = Vec::new();
-        for (wi, w) in workers.iter().enumerate() {
-            let c = w.cost_class();
-            match classes.iter().position(|x| *x == c) {
-                Some(i) => class_of.push(i),
-                None => {
-                    classes.push(c);
-                    reps.push(wi);
-                    class_of.push(classes.len() - 1);
-                }
-            }
-        }
-
-        // ---- Phase 1, data plane: kernels once per packet, priced per
-        // class, on the worker pool.
-        let agg_spec = pipeline.agg.as_ref();
-        let shared: &[Box<dyn DeviceProvider>] = workers;
-        // Per-packet wall interval + the pool thread that computed it —
-        // measured on the data plane, shipped back through the same mpsc
-        // plumbing as the results, recorded on the control plane.
-        // Observability only: wall values never touch simulated state.
-        type PacketWall = (u64, u64, usize);
-        let charged = runtime::scatter(
-            threads,
-            packets.len(),
-            |t| (Scratch::new(), t),
-            |i, state: &mut (Scratch, usize)| {
-                let wall_start = if traced { ctx.now_ns() } else { 0 };
-                let work = run_ops(packets[i].clone(), pipeline, tables, &mut state.0)?;
-                let costs = reps
-                    .iter()
-                    .map(|&r| shared[r].charge(&work, agg_spec, tables))
-                    .collect::<Result<Vec<SimTime>, EngineError>>()?;
-                let wall = (wall_start, if traced { ctx.now_ns() } else { 0 }, state.1);
-                Ok::<(PacketWork, Vec<SimTime>, PacketWall), EngineError>((work, costs, wall))
-            },
-        );
-        // First error in packet order — the same packet the sequential
-        // loop would have tripped on.
-        let mut works: Vec<(PacketWork, Vec<SimTime>, PacketWall)> =
-            Vec::with_capacity(charged.len());
-        for r in charged {
-            works.push(r?);
-        }
-
-        // ---- Phase 2, control plane: sequential routing + sim-time
-        // accounting, replaying worker `ready_at` state in packet order.
-        let mut router = Router::new(policy);
-        let mut end = start;
-        let mut packets_cpu = 0usize;
-        let mut packets_gpu = 0usize;
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers.len()];
-        for (i, (work, costs, wall)) in works.iter().enumerate() {
-            let bytes = work.bytes.max(1);
-            let candidates: Vec<CandidateLoad> = workers
-                .iter()
-                .map(|w| CandidateLoad {
-                    ready_at: w.ready_at(start, bytes),
-                    est_ns_per_byte: w.est_ns_per_byte(),
-                })
-                .collect();
-            let pick = router.pick(&packets[i], &candidates);
-            let sim_ready = candidates[pick].ready_at;
-            // ---- Fault plane: triggers keyed on the routed GPU's
-            // control-plane packet ordinal, checked here on the
-            // sequential control plane — injection points are therefore
-            // identical at any thread count. A `TransferError` prices its
-            // retries (backoff + the re-sent transfer) onto the worker's
-            // compute resource before the commit; a `GpuFailed` aborts
-            // the stage with the recoverable `DeviceFailed`.
-            if faults.is_active() {
-                if let Some(g) = workers[pick].gpu_index() {
-                    match faults.on_gpu_packet(g) {
-                        Some(PacketFault::Fail) => {
-                            if traced {
-                                ctx.record(Span::new(
-                                    SpanKind::Fault,
-                                    format!("gpu{g} failed at packet {i}"),
-                                    "",
-                                ));
-                                ctx.add("fault.injected", 1);
-                            }
-                            return Err(EngineError::DeviceFailed {
-                                device: format!("gpu{g}"),
-                            });
-                        }
-                        Some(PacketFault::Transfer { failures }) => {
-                            let policy = faults.retry_policy();
-                            if failures > policy.max_retries {
-                                return Err(EngineError::TransferRetriesExhausted {
-                                    device: format!("gpu{g}"),
-                                    attempts: policy.max_retries,
-                                });
-                            }
-                            let mut delay = SimTime::ZERO;
-                            for attempt in 1..=failures {
-                                delay += policy.backoff(attempt)
-                                    + workers[pick].transfer_duration(bytes);
-                            }
-                            workers[pick].charge_fault_delay(start, delay);
-                            faults.add_retries(failures as usize);
-                            if traced {
-                                ctx.record(Span::new(
-                                    SpanKind::Fault,
-                                    format!(
-                                        "transfer to gpu{g} retried {failures}x at packet {i}"
-                                    ),
-                                    "",
-                                ));
-                                ctx.add("fault.injected", 1);
-                                ctx.add("fault.retries", failures as u64);
-                            }
-                        }
-                        None => {}
-                    }
-                }
-            }
-            let outcome = workers[pick].commit_packet(work, costs[class_of[pick]], start);
-            end = end.max(outcome.done);
-            h2d_bytes += outcome.h2d_bytes;
-            match workers[pick].device() {
-                DeviceType::Cpu => packets_cpu += 1,
-                DeviceType::Gpu => packets_gpu += 1,
-            }
-            assignments[pick].push(i);
-            if traced {
-                // Recorded here, on the sequential control plane, so span
-                // order is packet order at any thread count. The sim
-                // interval is the routed worker's occupancy; the wall
-                // interval is the data-plane kernel pass measured above.
-                let lane = workers[pick].id().to_string();
-                ctx.record(
-                    Span::new(SpanKind::Packet, format!("packet {i}"), "")
-                        .lane(lane.clone())
-                        .pool_thread(wall.2)
-                        .at_sim(sim_ready, outcome.done)
-                        .at_wall(wall.0, wall.1)
-                        .rows(packets[i].rows() as u64, work.out.rows() as u64),
-                );
-                ctx.add(&format!("packets.worker.{lane}"), 1);
-                let class = match workers[pick].device() {
-                    DeviceType::Cpu => "cpu",
-                    DeviceType::Gpu => "gpu",
-                };
-                ctx.add(&format!("packets.class.{class}"), 1);
-                if outcome.h2d_bytes > 0 {
-                    ctx.add("h2d.packet_bytes", outcome.h2d_bytes);
-                }
-                for op in &work.ops {
-                    ctx.add(&format!("rows.{}.in", op.label()), op.rows_in());
-                    ctx.add(&format!("rows.{}.out", op.label()), op.rows_out());
-                }
-            }
-        }
-
-        // ---- Phase 3: stage outputs (build), or the per-worker fold
-        // jobs (stream) — data plane again, one job per worker, each
-        // folding its packets in routed order.
-        let mut outputs = Vec::new();
-        if agg_spec.is_none() {
-            for (work, _, _) in works {
-                if work.out.rows() > 0 {
-                    outputs.push(work.out);
-                }
-            }
+            hape_ops::cpu::agg_cost(agg_spec, joined.rows() as u64, state.n_groups(), &model)
         } else {
-            let mut batches: Vec<Option<Batch>> =
-                works.into_iter().map(|(w, _, _)| Some(w.out)).collect();
-            let jobs: Vec<(&mut Box<dyn DeviceProvider>, Vec<Batch>)> = workers
-                .iter_mut()
-                .zip(&assignments)
-                .filter(|(_, idxs)| !idxs.is_empty())
-                .map(|(w, idxs)| {
-                    let mine = idxs
-                        .iter()
-                        .map(|&i| batches[i].take().expect("packet routed once"))
-                        .collect();
-                    (w, mine)
-                })
-                .collect();
-            runtime::drain(threads, jobs, |(w, mine)| {
-                for b in &mine {
-                    if b.rows() > 0 {
-                        w.fold_packet(b);
-                    }
-                }
-            });
-        }
-
-        let busy_of = |device: DeviceType| {
-            workers.iter().filter(|w| w.device() == device).map(|w| w.busy()).sum()
+            SimTime::ZERO
         };
+        let end = start + busy / (dop.max(1) as f64 * 0.9);
         Ok(StageOutcome {
-            outputs,
-            end,
-            cpu_busy: busy_of(DeviceType::Cpu),
-            gpu_busy: busy_of(DeviceType::Gpu),
-            h2d_bytes,
-            packets_cpu,
-            packets_gpu,
+            outputs: Vec::new(),
+            agg: Some(state),
+            tally: Tally { end, cpu_busy: busy, ..Tally::default() },
         })
+    }
+}
+
+/// Record one committed packet: its span on the routed worker's lane, and
+/// the per-worker, per-class, h2d and per-operator row counters.
+fn trace_packet(
+    ctx: &TraceCtx,
+    span: Span,
+    worker: &dyn DeviceProvider,
+    work: &PacketWork,
+    h2d_bytes: u64,
+) {
+    let lane = worker.id().to_string();
+    ctx.record(span.lane(lane.clone()));
+    ctx.add(&format!("packets.worker.{lane}"), 1);
+    let class = match worker.device() {
+        DeviceType::Cpu => "packets.class.cpu",
+        DeviceType::Gpu => "packets.class.gpu",
+    };
+    ctx.add(class, 1);
+    if h2d_bytes > 0 {
+        ctx.add("h2d.packet_bytes", h2d_bytes);
+    }
+    for op in &work.ops {
+        ctx.add(&format!("rows.{}.in", op.label()), op.rows_in());
+        ctx.add(&format!("rows.{}.out", op.label()), op.rows_out());
     }
 }
 
@@ -1152,12 +1005,8 @@ pub struct QueryExec<'a> {
     threads: usize,
     tables: TableStore,
     resident: HashSet<String>,
-    clock: SimTime,
-    cpu_busy: SimTime,
-    gpu_busy: SimTime,
-    h2d_bytes: u64,
-    packets_cpu: usize,
-    packets_gpu: usize,
+    /// The query's private simulated clock (`end`) and counters.
+    tally: Tally,
     builds_cached: usize,
     rows: AggRows,
     next_stage: usize,
@@ -1196,7 +1045,7 @@ impl<'a> QueryExec<'a> {
     /// The query's private simulated clock (sim time elapsed so far) —
     /// what the serving layer's per-query deadline checks against.
     pub fn sim_time(&self) -> SimTime {
-        self.clock
+        self.tally.end
     }
 
     /// True once every placed stage has run (or been served from cache).
@@ -1293,139 +1142,86 @@ impl<'a> QueryExec<'a> {
             return Ok(());
         };
         let stage = &stage;
-        let engine = self.engine;
-        let catalog = self.catalog;
+        let pipeline = stage.pipeline();
         let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
-        let sim_start = self.clock;
+        let sim_start = self.tally.end;
         let wall_start = ctx.now_ns();
         // Observed source cardinality — the stage span's rows_in.
         let rows_in = if ctx.is_enabled() {
-            catalog.lookup(stage.pipeline().source.as_str()).map_or(0, |t| t.rows() as u64)
+            self.catalog.lookup(pipeline.source.as_str()).map_or(0, |t| t.rows() as u64)
         } else {
             0
         };
-        let stage_name: String;
-        let rows_out: u64;
-        match stage {
-            PlacedStage::Build { name, key_col, pipeline, segments, .. } => {
-                if self.tables.contains_key(name) {
-                    // Served from the cross-query cache at admission:
-                    // nothing to build, no simulated time passes.
-                    if ctx.is_enabled() {
-                        ctx.add("cache.builds_served", 1);
-                        ctx.record(
-                            Span::new(SpanKind::Cache, format!("cached build {name}"), "")
-                                .at_sim(self.clock, self.clock)
-                                .at_wall(wall_start, ctx.now_ns()),
-                        );
-                    }
-                    return Ok(());
+        if let PlacedStage::Build { name, .. } = stage {
+            if self.tables.contains_key(name) {
+                // Served from the cross-query cache at admission: nothing
+                // to build, no simulated time passes.
+                if ctx.is_enabled() {
+                    ctx.add("cache.builds_served", 1);
+                    ctx.record(
+                        Span::new(SpanKind::Cache, format!("cached build {name}"), "")
+                            .at_sim(sim_start, sim_start)
+                            .at_wall(wall_start, ctx.now_ns()),
+                    );
                 }
-                let out = engine.run_stage(
-                    catalog,
-                    pipeline,
-                    segments,
-                    stage.policy(),
-                    None,
-                    &self.tables,
-                    &self.resident,
-                    self.clock,
-                    None,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
-                self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                let batch = concat_outputs(out.outputs);
-                let table = Arc::new(JoinTable::build(batch, *key_col));
-                stage_name = format!("build {name}");
-                rows_out = table.rows() as u64;
-                self.tables.insert(name.clone(), table);
-            }
-            PlacedStage::Stream { pipeline, segments, .. } => {
-                let agg_spec = pipeline.agg.as_ref().ok_or_else(|| {
-                    EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-                        name: pipeline.source.clone(),
-                    })
-                })?;
-                let mut workers = engine.workers_for(
-                    segments,
-                    Some(agg_spec),
-                    &self.resident,
-                    &self.faults,
-                )?;
-                let out = engine.run_workers(
-                    catalog,
-                    pipeline,
-                    &mut workers,
-                    stage.policy(),
-                    &self.tables,
-                    self.clock,
-                    self.placed.packet_rows,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
-                self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                self.packets_cpu += out.packets_cpu;
-                self.packets_gpu += out.packets_gpu;
-                // ---- Merge partial aggregates (cheap: group counts
-                // are small), in worker order for determinism.
-                let mut merged = AggState::new(agg_spec.clone());
-                for w in &workers {
-                    if let Some(a) = w.agg() {
-                        merged.merge(a);
-                    }
-                }
-                self.rows = merged.finish();
-                stage_name = format!("stream {}", pipeline.source);
-                rows_out = self.rows.len() as u64;
-            }
-            PlacedStage::CoProcess { pipeline, ht, segments, gpus, .. } => {
-                let agg_spec = pipeline.agg.as_ref().ok_or_else(|| {
-                    EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
-                        name: pipeline.source.clone(),
-                    })
-                })?;
-                let (merged_rows, out) = engine.run_coprocess_stage(
-                    catalog,
-                    pipeline,
-                    ht,
-                    segments,
-                    stage.policy(),
-                    gpus,
-                    &self.tables,
-                    &self.resident,
-                    self.clock,
-                    agg_spec,
-                    self.placed.packet_rows,
-                    self.threads,
-                    &self.faults,
-                    &ctx,
-                )?;
-                self.clock = out.end;
-                self.cpu_busy += out.cpu_busy;
-                self.gpu_busy += out.gpu_busy;
-                self.h2d_bytes += out.h2d_bytes;
-                self.packets_cpu += out.packets_cpu;
-                self.packets_gpu += out.packets_gpu;
-                self.rows = merged_rows;
-                stage_name = format!("coprocess {ht}");
-                rows_out = self.rows.len() as u64;
+                return Ok(());
             }
         }
+        let stream_agg = || {
+            pipeline.agg.as_ref().ok_or_else(|| {
+                EngineError::InvalidPlan(PlanError::StreamWithoutAggregate {
+                    name: pipeline.source.clone(),
+                })
+            })
+        };
+        let env = StageEnv {
+            engine: self.engine,
+            catalog: self.catalog,
+            tables: &self.tables,
+            resident: &self.resident,
+            policy: stage.policy(),
+            // Builds size their packets by the automatic rule; the
+            // explicit override is for the measured stream stages.
+            packet_rows: match stage {
+                PlacedStage::Build { .. } => None,
+                _ => self.placed.packet_rows,
+            },
+            threads: self.threads,
+            faults: &self.faults,
+            ctx: &ctx,
+        };
+        let (out, stage_name, rows_out) = match stage {
+            PlacedStage::Build { name, key_col, segments, .. } => {
+                let mut out = env.run(pipeline, segments, Input::Source, sim_start)?;
+                let batch = concat_outputs(std::mem::take(&mut out.outputs));
+                let table = Arc::new(JoinTable::build(batch, *key_col));
+                let rows_out = table.rows() as u64;
+                self.tables.insert(name.clone(), table);
+                // Builds are plumbing, not the measured workload: the
+                // report counts stream-stage packets only.
+                (out.tally.packets_cpu, out.tally.packets_gpu) = (0, 0);
+                (out, format!("build {name}"), rows_out)
+            }
+            PlacedStage::Stream { segments, .. } => {
+                stream_agg()?;
+                let out = env.run(pipeline, segments, Input::Source, sim_start)?;
+                self.rows = out.rows();
+                (out, format!("stream {}", pipeline.source), self.rows.len() as u64)
+            }
+            PlacedStage::CoProcess { ht, segments, gpus, .. } => {
+                let out =
+                    env.run_coprocess(pipeline, stream_agg()?, ht, segments, gpus, sim_start)?;
+                self.rows = out.rows();
+                (out, format!("coprocess {ht}"), self.rows.len() as u64)
+            }
+        };
+        self.tally = self.tally.then(out.tally);
         if ctx.is_enabled() {
             // The predicted-vs-observed record: the optimizer's chosen
             // estimate (Auto plans only) rides the stage span next to the
             // observed simulated elapsed time and row counts.
             let mut span = Span::new(SpanKind::Stage, stage_name, "")
-                .at_sim(sim_start, self.clock)
+                .at_sim(sim_start, self.tally.end)
                 .at_wall(wall_start, ctx.now_ns())
                 .rows(rows_in, rows_out);
             if let Some(est) = self.placed.costs.as_ref().and_then(|c| c.stages.get(idx)) {
@@ -1441,18 +1237,12 @@ impl<'a> QueryExec<'a> {
     /// losses land in the health registry, slow-downs derate links, OOMs
     /// arm for the next broadcast install.
     fn fire_barrier_faults(&self, idx: usize) {
-        let fired = self.faults.begin_stage(idx, self.clock);
-        if fired.is_empty() || !self.trace.is_enabled() {
-            return;
-        }
         let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
-        for spec in &fired {
-            ctx.record(Span::new(
-                SpanKind::Fault,
-                format!("injected {:?} on gpu{} at stage {idx} barrier", spec.kind, spec.gpu),
-                "",
+        for spec in self.faults.begin_stage(idx, self.tally.end) {
+            ctx.fault(format!(
+                "injected {:?} on gpu{} at stage {idx} barrier",
+                spec.kind, spec.gpu
             ));
-            ctx.add("fault.injected", 1);
         }
     }
 
@@ -1522,7 +1312,7 @@ impl<'a> QueryExec<'a> {
         // query's simulated clock (see the cost-formula table).
         let policy = self.faults.retry_policy();
         let attempt = self.faults.replans() as u32 + 1;
-        self.clock += policy.backoff(attempt);
+        self.tally.end += policy.backoff(attempt);
         self.faults.note_replan();
         if self.trace.is_enabled() {
             let ctx = TraceCtx::new(&self.trace, &self.placed.name, idx);
@@ -1542,19 +1332,19 @@ impl<'a> QueryExec<'a> {
         if self.trace.is_enabled() {
             self.trace.record(
                 Span::new(SpanKind::Query, self.placed.name.clone(), self.placed.name.clone())
-                    .at_sim(SimTime::ZERO, self.clock)
+                    .at_sim(SimTime::ZERO, self.tally.end)
                     .at_wall(self.wall_start_ns, self.trace.now_ns())
                     .rows(0, self.rows.len() as u64),
             );
         }
         QueryReport {
             rows: self.rows,
-            time: self.clock,
-            cpu_busy: self.cpu_busy,
-            gpu_busy: self.gpu_busy,
-            h2d_bytes: self.h2d_bytes,
-            packets_cpu: self.packets_cpu,
-            packets_gpu: self.packets_gpu,
+            time: self.tally.end,
+            cpu_busy: self.tally.cpu_busy,
+            gpu_busy: self.tally.gpu_busy,
+            h2d_bytes: self.tally.h2d_bytes,
+            packets_cpu: self.tally.packets_cpu,
+            packets_gpu: self.tally.packets_gpu,
             builds_cached: self.builds_cached,
             retries: self.faults.retries(),
             replans: self.faults.replans(),

@@ -36,6 +36,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use hape_sim::time::SimTime;
+use hape_sim::topology::DeviceId;
+
+use crate::error::EngineError;
+use crate::provider::DeviceProvider;
+use crate::trace::TraceCtx;
 
 /// What breaks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,7 +284,7 @@ impl HealthRegistry {
 
 /// A packet-granular fault fired by [`FaultSession::on_gpu_packet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketFault {
+enum PacketFault {
     /// The device died mid-stage (permanent).
     Fail,
     /// The transfer failed transiently `failures` times before succeeding.
@@ -387,7 +392,7 @@ impl FaultSession {
     /// Control-plane hook: a packet is about to be committed to `gpu`.
     /// Advances the query-wide GPU packet ordinal and returns the fault
     /// firing at this ordinal, if any.
-    pub fn on_gpu_packet(&self, gpu: usize) -> Option<PacketFault> {
+    fn on_gpu_packet(&self, gpu: usize) -> Option<PacketFault> {
         if !self.is_active() {
             return None;
         }
@@ -422,7 +427,7 @@ impl FaultSession {
     /// Install hook: true when `gpu`'s armed DRAM exhaustion fires at this
     /// broadcast install. Consumes the arming and quarantines the device
     /// for the rest of the query.
-    pub fn oom_at_install(&self, gpu: usize) -> bool {
+    fn oom_at_install(&self, gpu: usize) -> bool {
         if !self.is_active() {
             return false;
         }
@@ -441,12 +446,93 @@ impl FaultSession {
     }
 
     /// True when `gpu` is failed fleet-wide or quarantined by this query.
-    pub fn is_excluded(&self, gpu: usize) -> bool {
+    fn is_excluded(&self, gpu: usize) -> bool {
         self.health.is_failed(gpu) || self.quarantine.borrow().contains(&gpu)
     }
 
+    /// The GPU-exclusion check: a stage may not run on a GPU failed
+    /// fleet-wide or quarantined by this query — the recoverable
+    /// [`EngineError::DeviceFailed`]. CPUs always pass.
+    pub(crate) fn ensure_usable(&self, device: DeviceId) -> Result<(), EngineError> {
+        match device {
+            DeviceId::Gpu(g) if self.is_active() && self.is_excluded(g) => {
+                Err(device_failed(g))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// What `gpu`'s link bandwidth is divided by under a `DeviceSlow` fault.
+    pub(crate) fn link_slowdown(&self, gpu: usize) -> Option<f64> {
+        self.is_active().then(|| self.health.slow_factor(gpu)).flatten()
+    }
+
+    /// Broadcast-install hook: an armed `BroadcastOom` on `worker`'s GPU
+    /// fails the install with the recoverable [`EngineError::DeviceFailed`].
+    pub(crate) fn on_install(
+        &self,
+        worker: &dyn DeviceProvider,
+        ctx: &TraceCtx,
+    ) -> Result<(), EngineError> {
+        match worker.gpu_index() {
+            Some(g) if self.oom_at_install(g) => {
+                ctx.fault(format!("broadcast OOM on gpu{g}"));
+                Err(device_failed(g))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Packet-commit hook, run on the control plane before packet `packet`
+    /// (`bytes` bytes) commits to `worker`. A `GpuFailed` is the
+    /// recoverable [`EngineError::DeviceFailed`]; a `TransferError` prices
+    /// each failed attempt's backoff plus re-sent transfer onto the worker,
+    /// or is [`EngineError::TransferRetriesExhausted`] beyond the budget.
+    /// Every fired fault is recorded in `ctx`.
+    pub(crate) fn on_commit(
+        &self,
+        worker: &mut dyn DeviceProvider,
+        packet: usize,
+        bytes: u64,
+        start: SimTime,
+        ctx: &TraceCtx,
+    ) -> Result<(), EngineError> {
+        if !self.is_active() {
+            return Ok(());
+        }
+        let Some(g) = worker.gpu_index() else { return Ok(()) };
+        match self.on_gpu_packet(g) {
+            None => Ok(()),
+            Some(PacketFault::Fail) => {
+                ctx.fault(format!("gpu{g} failed at packet {packet}"));
+                Err(device_failed(g))
+            }
+            Some(PacketFault::Transfer { failures }) => {
+                let policy = self.retry_policy();
+                if failures > policy.max_retries {
+                    ctx.fault(format!(
+                        "transfer to gpu{g} failed {failures}x at packet {packet}"
+                    ));
+                    return Err(EngineError::TransferRetriesExhausted {
+                        device: format!("gpu{g}"),
+                        attempts: policy.max_retries,
+                    });
+                }
+                let mut delay = SimTime::ZERO;
+                for attempt in 1..=failures {
+                    delay += policy.backoff(attempt) + worker.transfer_duration(bytes);
+                }
+                worker.charge_fault_delay(start, delay);
+                self.add_retries(failures as usize);
+                ctx.fault(format!("transfer to gpu{g} retried {failures}x at packet {packet}"));
+                ctx.add("fault.retries", u64::from(failures));
+                Ok(())
+            }
+        }
+    }
+
     /// Record `n` priced transfer retries.
-    pub fn add_retries(&self, n: usize) {
+    fn add_retries(&self, n: usize) {
         self.retries.set(self.retries.get() + n);
     }
 
@@ -464,6 +550,11 @@ impl FaultSession {
     pub fn replans(&self) -> usize {
         self.replans.get()
     }
+}
+
+/// The recoverable loss of `gpu`.
+fn device_failed(gpu: usize) -> EngineError {
+    EngineError::DeviceFailed { device: format!("gpu{gpu}") }
 }
 
 #[cfg(test)]

@@ -22,14 +22,15 @@
 //! data flow through compiled pipelines; CPU workers, GPUs and PCIe links
 //! are clocked resources; the reported latency is the makespan.
 //!
-//! The interpreter itself is split into two planes (the [`mod@runtime`]
-//! module): a **deterministic control plane** — routing picks and
-//! `SimTime` accounting replayed sequentially on the coordinator from
-//! worker `ready_at` state — and a **parallel data plane** — the real
-//! columnar kernel work ([`provider::run_ops`]), per-device-class cost
-//! pricing, and per-worker aggregation folds, dispatched to a scoped
-//! `std::thread` worker pool. [`engine::ExecConfig::threads`] (or the
-//! `HAPE_THREADS` environment variable) sizes the pool; it is a pure
+//! The interpreter itself is split into two planes: a **deterministic
+//! control plane** — routing picks and `SimTime` accounting replayed
+//! sequentially on the coordinator from worker `ready_at` state — and a
+//! **parallel data plane** — the real columnar kernel work
+//! ([`provider::run_ops`]), per-device-class cost pricing, and per-worker
+//! aggregation folds, dispatched to the workspace's one scoped
+//! `std::thread` worker pool ([`hape_sim::pool`]).
+//! [`engine::ExecConfig::threads`] (or the `HAPE_THREADS` environment
+//! variable, see [`mod@runtime`]) sizes the pool; it is a pure
 //! wall-clock knob — **simulated makespans and result rows are
 //! bit-identical at any thread count**, which the determinism sweep in
 //! `tests/runtime_determinism.rs` asserts across the TPC-H × placement

@@ -372,6 +372,13 @@ impl TraceCtx {
         self.rec.add(counter, delta);
     }
 
+    /// Record an injected fault: a [`SpanKind::Fault`] span named `name`
+    /// plus one on the `fault.injected` counter the chaos sweep reads.
+    pub(crate) fn fault(&self, name: impl Into<String>) {
+        self.record(Span::new(SpanKind::Fault, name, ""));
+        self.add("fault.injected", 1);
+    }
+
     /// Record `span` stamped with this context's query and stage.
     pub fn record(&self, span: Span) {
         if !self.is_enabled() {

@@ -45,9 +45,11 @@ pub struct CoprocessConfig {
     pub mode: OutputMode,
     /// GPU memory-model fidelity.
     pub fidelity: Fidelity,
-    /// Real threads executing the co-partitioning passes (the simulated
-    /// cost is governed by `cpu_workers`; this knob only changes the wall
-    /// clock — results are byte-identical at any value).
+    /// Real threads executing the co-partitioning passes on the
+    /// workspace's one worker pool ([`hape_sim::pool`], which the engine's
+    /// data plane uses too). The simulated cost is governed by
+    /// `cpu_workers`; this knob only changes the wall clock — results are
+    /// byte-identical at any value.
     pub threads: usize,
 }
 

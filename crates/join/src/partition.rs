@@ -6,6 +6,11 @@
 //! (TLB entries on CPUs, scratchpad staging capacity on GPUs) and therefore
 //! the number of passes. This module is the skeleton: the device algorithms
 //! charge their own pass costs.
+//!
+//! The real-thread passes run on the workspace's one worker pool,
+//! [`hape_sim::pool`] — the same pool as the engine's data plane.
+
+use hape_sim::pool::{drain, scatter};
 
 use crate::common::JoinInput;
 
@@ -91,7 +96,8 @@ pub fn radix_partition_pass(
 /// available: thread start-up would dominate the scan.
 const PAR_MIN_ROWS: usize = 1 << 12;
 
-/// Deterministic parallel variant of [`radix_partition_pass`].
+/// Deterministic parallel variant of [`radix_partition_pass`], on the
+/// workspace's one worker pool ([`hape_sim::pool`]).
 ///
 /// The input is cut into `threads` contiguous chunks; each chunk builds its
 /// own histogram and scatters its slice privately, then a global exclusive
@@ -102,7 +108,7 @@ const PAR_MIN_ROWS: usize = 1 << 12;
 /// and so does chunk-order merging of stable per-chunk scatters, the
 /// result is **byte-identical** to [`radix_partition_pass`] at any thread
 /// count — the thread count is a pure wall-clock knob, exactly like the
-/// engine's data-plane pool.
+/// engine's data-plane pool, which is the same pool.
 pub fn radix_partition_pass_par(
     keys: &[i32],
     vals: &[u32],
@@ -119,18 +125,15 @@ pub fn radix_partition_pass_par(
     let fanout = 1usize << bits;
     let chunk = n.div_ceil(workers);
     // Per-chunk histogram + private scatter, in parallel.
-    let mut locals: Vec<Option<RadixPartitions>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (c, slot) in locals.iter_mut().enumerate() {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(n));
-            let (keys, vals) = (&keys[lo..hi], &vals[lo..hi]);
-            scope.spawn(move || {
-                *slot = Some(radix_partition_pass(keys, vals, shift, bits));
-            });
-        }
-    });
-    let locals: Vec<RadixPartitions> =
-        locals.into_iter().map(|l| l.expect("every chunk partitioned")).collect();
+    let locals = scatter(
+        workers,
+        workers,
+        |_| (),
+        |c, _| {
+            let (lo, hi) = ((c * chunk).min(n), ((c + 1) * chunk).min(n));
+            radix_partition_pass(&keys[lo..hi], &vals[lo..hi], shift, bits)
+        },
+    );
     // Global exclusive prefix over the chunk histograms.
     let mut offsets = Vec::with_capacity(fanout + 1);
     offsets.push(0usize);
@@ -142,36 +145,25 @@ pub fn radix_partition_pass_par(
     // disjoint mutable slice, filled in chunk order.
     let mut out_keys = vec![0i32; n];
     let mut out_vals = vec![0u32; n];
-    {
-        let mut jobs: Vec<(usize, &mut [i32], &mut [u32])> = Vec::with_capacity(fanout);
-        let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
-        for p in 0..fanout {
-            let len = offsets[p + 1] - offsets[p];
-            let (khead, ktail) = krest.split_at_mut(len);
-            let (vhead, vtail) = vrest.split_at_mut(len);
-            krest = ktail;
-            vrest = vtail;
-            jobs.push((p, khead, vhead));
-        }
-        let queue = std::sync::Mutex::new(jobs.into_iter());
-        let locals = &locals;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                scope.spawn(move || loop {
-                    let job = queue.lock().expect("merge queue poisoned").next();
-                    let Some((p, kdst, vdst)) = job else { break };
-                    let mut at = 0usize;
-                    for l in locals {
-                        let s = l.part(p);
-                        kdst[at..at + s.keys.len()].copy_from_slice(s.keys);
-                        vdst[at..at + s.vals.len()].copy_from_slice(s.vals);
-                        at += s.keys.len();
-                    }
-                });
-            }
-        });
+    let mut jobs: Vec<(usize, &mut [i32], &mut [u32])> = Vec::with_capacity(fanout);
+    let (mut krest, mut vrest) = (&mut out_keys[..], &mut out_vals[..]);
+    for p in 0..fanout {
+        let len = offsets[p + 1] - offsets[p];
+        let (khead, ktail) = krest.split_at_mut(len);
+        let (vhead, vtail) = vrest.split_at_mut(len);
+        krest = ktail;
+        vrest = vtail;
+        jobs.push((p, khead, vhead));
     }
+    drain(workers, jobs, |(p, kdst, vdst)| {
+        let mut at = 0usize;
+        for l in &locals {
+            let s = l.part(p);
+            kdst[at..at + s.keys.len()].copy_from_slice(s.keys);
+            vdst[at..at + s.vals.len()].copy_from_slice(s.vals);
+            at += s.keys.len();
+        }
+    });
     RadixPartitions { keys: out_keys, vals: out_vals, offsets, bits }
 }
 
@@ -194,9 +186,10 @@ pub fn radix_partition(
 ///
 /// The first pass (one partition spanning the whole input) runs the
 /// chunked [`radix_partition_pass_par`]; later passes parallelise across
-/// the partitions of the previous pass instead, each sub-partitioned
-/// sequentially. Either way the output is byte-identical to `threads = 1`:
-/// the thread count never reaches the data layout, only the wall clock.
+/// the partitions of the previous pass instead — one pool job per
+/// partition, each sub-partitioned sequentially, results in partition
+/// order. Either way the output is byte-identical to `threads = 1`: the
+/// thread count never reaches the data layout, only the wall clock.
 pub fn radix_partition_with_threads(
     input: JoinInput<'_>,
     total_bits: u32,
@@ -230,31 +223,20 @@ pub fn radix_partition_with_threads(
             current = RadixPartitions { bits: current.bits + b, ..sub };
             continue;
         }
-        let mut subs: Vec<Option<RadixPartitions>> = (0..fanout_before).map(|_| None).collect();
-        if workers <= 1 || current.keys.len() < PAR_MIN_ROWS {
-            for (p, slot) in subs.iter_mut().enumerate() {
+        let pool = if current.keys.len() < PAR_MIN_ROWS { 1 } else { workers };
+        let subs = scatter(
+            pool,
+            fanout_before,
+            |_| (),
+            |p, _| {
                 let part = current.part(p);
-                *slot = Some(radix_partition_pass(part.keys, part.vals, shift, b));
-            }
-        } else {
-            let per = fanout_before.div_ceil(workers);
-            let current = &current;
-            std::thread::scope(|scope| {
-                for (c, slots) in subs.chunks_mut(per).enumerate() {
-                    scope.spawn(move || {
-                        for (i, slot) in slots.iter_mut().enumerate() {
-                            let part = current.part(c * per + i);
-                            *slot = Some(radix_partition_pass(part.keys, part.vals, shift, b));
-                        }
-                    });
-                }
-            });
-        }
+                radix_partition_pass(part.keys, part.vals, shift, b)
+            },
+        );
         let mut out_keys = Vec::with_capacity(current.keys.len());
         let mut out_vals = Vec::with_capacity(current.vals.len());
         let mut offsets = vec![0usize];
         for sub in subs {
-            let sub = sub.expect("every partition re-partitioned");
             for sp in 0..sub.fanout() {
                 let s = sub.part(sp);
                 out_keys.extend_from_slice(s.keys);

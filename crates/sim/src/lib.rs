@@ -18,7 +18,8 @@
 //!   sweeps stay tractable).
 //!
 //! All times are **simulated** ([`SimTime`]); wall-clock never enters any
-//! reported number.
+//! reported number. The crate also hosts the workspace's one real-thread
+//! worker pool ([`pool`]), shared by the engine and the co-partitioner.
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +28,7 @@ pub mod cpu;
 pub mod des;
 pub mod gpu;
 pub mod interconnect;
+pub mod pool;
 pub mod spec;
 pub mod time;
 pub mod topology;

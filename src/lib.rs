@@ -118,10 +118,11 @@
 //! The interpreter splits into a **deterministic control plane** (routing
 //! picks + `SimTime` accounting, replayed sequentially from worker
 //! `ready_at` state) and a **parallel data plane** (the real columnar
-//! kernel work and per-worker aggregation folds, on a scoped
-//! `std::thread` worker pool — [`core::runtime`]). The thread count is a
-//! pure wall-clock knob: simulated makespans and result rows are
-//! bit-identical at any value.
+//! kernel work and per-worker aggregation folds, on the workspace's one
+//! scoped `std::thread` worker pool — [`sim::pool`], which the join
+//! suite's co-partitioner shares). The thread count is a pure wall-clock
+//! knob: simulated makespans and result rows are bit-identical at any
+//! value.
 //!
 //! ```
 //! use hape::core::{ExecConfig, JoinAlgo, Placement, Query, Session};

@@ -18,6 +18,8 @@
 //!    placement, and is no slower than the deleted hand-written
 //!    `run_q9_hybrid` path (reconstructed here from the same public
 //!    pieces it was built on).
+//! 6. **Co-process suffix**: a co-process stage with operators after its
+//!    final probe returns the CpuOnly rows at threads 1 and 2.
 
 use hape::core::engine::EngineError;
 use hape::core::provider::TableStore;
@@ -182,8 +184,9 @@ fn auto_completes_q9_through_a_coprocess_stage() {
 /// hatch it replaces.
 #[test]
 fn auto_q9_is_no_slower_than_the_old_hand_written_hybrid() {
-    use hape::core::plan::Stage;
+    use hape::core::plan::{JoinTable, Stage};
     use hape::sim::CpuCostModel;
+    use std::sync::Arc;
 
     let data = hape::tpch::generate(SF, 31337);
     let catalog = hape::tpch::queries::base_catalog(&data);
@@ -224,10 +227,9 @@ fn auto_q9_is_no_slower_than_the_old_hand_written_hybrid() {
     let mut clock = SimTime::ZERO;
     for stage in &lowered.builds {
         let Stage::Build { name, key_col, pipeline } = stage else { continue };
-        let (jt, end, _) = engine
-            .build_join_table(&lowered.catalog, pipeline, *key_col, &tables, clock)
-            .unwrap();
-        tables.insert(name.clone(), jt);
+        let (batch, end, _) =
+            engine.materialize_cpu(&lowered.catalog, pipeline, &tables, clock).unwrap();
+        tables.insert(name.clone(), Arc::new(JoinTable::build(batch, *key_col)));
         clock = end;
     }
     let (inter, inter_end, _) =
@@ -264,6 +266,48 @@ fn auto_q9_is_no_slower_than_the_old_hand_written_hybrid() {
         auto.time,
         old_hybrid
     );
+}
+
+/// The co-process *suffix*: when operators remain after the co-processed
+/// probe, the joined rows re-enter the packet loop on the CPU workers
+/// instead of streaming into the fused fold. The optimizer's co-process
+/// stages always end in their probe, so the stage is built by hand from a
+/// CPU-placed stream whose filter follows the final join; its rows must
+/// equal the CpuOnly run at every thread count.
+#[test]
+fn coprocess_suffix_after_the_final_probe_matches_cpu_only() {
+    use hape::core::place::into_coprocess_stage;
+    use hape::ops::lit;
+    use hape::sim::topology::DeviceId;
+
+    let mut session = Session::new(Server::paper_testbed());
+    session.register_as("fact", gen_key_fk_table(1 << 14, 1 << 16, 11));
+    session.register_as("dim", gen_key_fk_table(1 << 12, 1 << 12, 12));
+    // Exact-integer aggregates: sums are identical under any fold order.
+    let query = Query::new("coprocess_suffix")
+        .from_table("fact")
+        .join(Query::scan("dim"), "k", "k", JoinAlgo::NonPartitioned)
+        .filter(col("v").lt(lit(1 << 15)))
+        .agg(vec![(AggFunc::Count, col("k")), (AggFunc::Sum, col("v"))]);
+    let lowered = session.lower(&query).unwrap();
+    for threads in [1, 2] {
+        let cfg = ExecConfig::new(Placement::CpuOnly).with_threads(threads);
+        let cpu = session.execute_with(&query, &cfg).unwrap();
+        assert!(cpu.rows[0].1[0] > 0.0, "the filter keeps some joined rows");
+
+        let mut placed = session.place_with(&query, &cfg).unwrap();
+        let stream = placed.stages.pop().unwrap();
+        let (probe_idx, ht) = stream.pipeline().last_probe().unwrap();
+        let ht = ht.to_string();
+        assert!(
+            probe_idx + 1 < stream.pipeline().ops.len(),
+            "an operator must follow the co-processed probe"
+        );
+        placed.stages.push(into_coprocess_stage(stream, ht, vec![DeviceId::Gpu(0)]).unwrap());
+        let cop = session.engine().run_placed(&lowered.catalog, &placed).unwrap();
+        assert_eq!(cop.rows, cpu.rows, "threads={threads}");
+        assert!(cop.packets_gpu > 0, "the probe ran on the GPU lane");
+    }
 }
 
 /// Asserts that `Auto`'s simulated makespan is no worse than the best

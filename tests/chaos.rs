@@ -12,14 +12,15 @@
 //! Alongside the matrix, targeted scenarios pin each recovery layer:
 //! priced transfer retries, permanent-loss re-placement (down to a full
 //! GPU-fleet loss degrading GpuOnly onto the surviving CPUs), broadcast
-//! OOM quarantine, the bounded replan budget's typed exhaustion error,
-//! and the serving layer's `Outcome::Degraded` reporting.
+//! OOM quarantine, the bounded transfer-retry and replan budgets' typed
+//! exhaustion errors, and the serving layer's `Outcome::Degraded`
+//! reporting.
 
 use hape::core::fault::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, Trigger};
 use hape::core::serve::{Outcome, SessionServer};
 use hape::core::{
     Catalog, Engine, EngineError, ExecConfig, JoinAlgo, Placement, Query, QueryPlan,
-    QueryReport, Session,
+    QueryReport, Session, SpanKind, TraceRecorder,
 };
 use hape::ops::{col, AggFunc, AggSpec, Expr};
 use hape::sim::topology::Server;
@@ -267,6 +268,39 @@ fn exhausted_replan_budget_is_a_typed_recovery_failure() {
     );
     let msg = err.to_string();
     assert!(msg.contains("replan budget"), "{msg}");
+}
+
+#[test]
+fn exhausted_transfer_retries_are_a_typed_error_and_traced() {
+    let (catalog, plans) = setup();
+    let engine = Engine::new(Server::paper_testbed());
+    let faults = FaultPlan::new(
+        vec![FaultSpec {
+            gpu: 0,
+            kind: FaultKind::TransferError { failures: 4 },
+            trigger: Trigger::AtGpuPacket(1),
+        }],
+        RetryPolicy::default(),
+    );
+    let recorder = TraceRecorder::new();
+    let cfg =
+        ExecConfig::new(Placement::GpuOnly).with_faults(faults).with_trace(recorder.clone());
+    let err = engine
+        .run(&catalog, &plans[0], &cfg)
+        .expect_err("4 failures exceed the default budget of 3 retries");
+    assert!(
+        matches!(
+            err,
+            EngineError::TransferRetriesExhausted { ref device, attempts: 3 } if device == "gpu0"
+        ),
+        "expected TransferRetriesExhausted on gpu0, got: {err}"
+    );
+    // The fault fired, so the trace counts it like every other fault: the
+    // chaos sweep's `fired` column reads this counter.
+    let trace = recorder.snapshot();
+    assert_eq!(trace.counters.get("fault.injected"), Some(&1), "{:?}", trace.counters);
+    let fault_spans = trace.spans.iter().filter(|s| s.kind == SpanKind::Fault).count();
+    assert_eq!(fault_spans, 1, "one Fault span");
 }
 
 /// The logical front-end face of the synthetic join + aggregation.
