@@ -20,6 +20,8 @@ mod behavioral;
 pub mod chaos;
 pub mod cli;
 pub mod figures;
+#[cfg(test)]
+mod golden;
 mod matrix;
 pub mod trace;
 pub mod verify;
