@@ -101,7 +101,6 @@ impl DbmsG {
                             .collect();
                         cur = Batch {
                             columns: cur.columns.iter().map(|c| c.take(&sel)).collect(),
-                            partition: cur.partition,
                         };
                     }
                     PipeOp::Project(exprs) => {
@@ -113,7 +112,7 @@ impl DbmsG {
                                 )
                             })
                             .collect();
-                        cur = Batch { columns: cols, partition: cur.partition };
+                        cur = Batch { columns: cols };
                     }
                     PipeOp::JoinProbe { ht, key_col, build_payload_cols, .. } => {
                         let jt = tables.get(ht).expect("table built");

@@ -32,7 +32,7 @@ use hape_join::{coprocess_join_on, BuildProbeVariant, CoprocessConfig, JoinInput
 
 use crate::catalog::Catalog;
 use crate::error::PlanError;
-use crate::exchange::{CandidateLoad, Exchange, Router, RoutingPolicy};
+use crate::exchange::{route, CandidateLoad, Exchange};
 use crate::fault::{FaultPlan, FaultSession, HealthRegistry};
 use crate::place::{participants, place, place_on, PlacedPlan, PlacedStage, Segment};
 use crate::plan::{JoinTable, PipeOp, Pipeline, QueryPlan};
@@ -117,8 +117,6 @@ impl std::str::FromStr for Placement {
 pub struct ExecConfig {
     /// Device placement.
     pub placement: Placement,
-    /// Router policy for the stream stage.
-    pub policy: RoutingPolicy,
     /// Rows per packet (`None` = auto: see
     /// [`ExecConfig::auto_packet_rows`]).
     pub packet_rows: Option<usize>,
@@ -146,7 +144,6 @@ impl ExecConfig {
     pub fn new(placement: Placement) -> Self {
         ExecConfig {
             placement,
-            policy: RoutingPolicy::LoadAware,
             packet_rows: None,
             threads: None,
             trace: TraceRecorder::off(),
@@ -235,8 +232,6 @@ pub struct QueryReport {
 pub struct Engine {
     /// The server topology.
     pub server: Server,
-    /// GPU memory-model fidelity.
-    pub fidelity: Fidelity,
 }
 
 /// Aggregated result rows, sorted by group key.
@@ -298,7 +293,6 @@ struct StageEnv<'s> {
     /// cache installed them): GPU workers still account their footprint but
     /// skip the broadcast transfer and partition prep.
     resident: &'s HashSet<String>,
-    policy: RoutingPolicy,
     /// The explicit packet-size override (see
     /// [`ExecConfig::auto_packet_rows`]).
     packet_rows: Option<usize>,
@@ -317,9 +311,10 @@ enum Input<'b> {
 }
 
 impl Engine {
-    /// Engine over a server, analytic GPU fidelity.
+    /// Engine over a server (the GPU memory model runs at
+    /// [`Fidelity::Analytic`]).
     pub fn new(server: Server) -> Self {
-        Engine { server, fidelity: Fidelity::Analytic }
+        Engine { server }
     }
 
     /// Place and run `plan` against `catalog` under `cfg`: sugar for the
@@ -444,7 +439,6 @@ impl Engine {
             catalog,
             tables,
             resident: &HashSet::new(),
-            policy: RoutingPolicy::LoadAware,
             packet_rows: None,
             threads: runtime::resolve_threads(None)?,
             faults: &FaultSession::disabled(),
@@ -514,7 +508,7 @@ impl StageEnv<'_> {
                             idx,
                             spec.clone(),
                             link,
-                            self.engine.fidelity,
+                            Fidelity::Analytic,
                             agg.map(|a| AggState::new(a.clone())),
                             broadcast,
                         )
@@ -648,7 +642,6 @@ impl StageEnv<'_> {
 
         // ---- Phase 2, control plane: sequential routing + sim-time
         // accounting, replaying worker `ready_at` state in packet order.
-        let mut router = Router::new(self.policy);
         let mut end = start;
         let mut packets_cpu = 0usize;
         let mut packets_gpu = 0usize;
@@ -662,7 +655,7 @@ impl StageEnv<'_> {
                     est_ns_per_byte: w.est_ns_per_byte(),
                 })
                 .collect();
-            let pick = router.pick(&packets[i], &candidates);
+            let pick = route(&candidates, packets[i].bytes());
             let w = &mut workers[pick];
             faults.on_commit(&mut **w, i, bytes, start, ctx)?;
             let outcome = w.commit_packet(work, costs[class_of[pick]], start);
@@ -812,7 +805,7 @@ impl StageEnv<'_> {
                 cpu_workers: segments.iter().map(|s| s.traits.dop).sum(),
                 variant: BuildProbeVariant::Sm,
                 mode: OutputMode::MatchIndices,
-                fidelity: self.engine.fidelity,
+                fidelity: Fidelity::Analytic,
                 threads: self.threads,
             };
             let rep = coprocess_join_on(
@@ -1179,7 +1172,6 @@ impl<'a> QueryExec<'a> {
             catalog: self.catalog,
             tables: &self.tables,
             resident: &self.resident,
-            policy: stage.policy(),
             // Builds size their packets by the automatic rule; the
             // explicit override is for the measured stream stages.
             packet_rows: match stage {
@@ -1262,8 +1254,6 @@ impl<'a> QueryExec<'a> {
         };
         let logical = self.placed.logical();
         let mut cfg = ExecConfig::new(Placement::Auto);
-        cfg.policy =
-            self.placed.stages.get(idx).map_or(RoutingPolicy::LoadAware, |s| s.policy());
         cfg.packet_rows = self.placed.packet_rows;
         cfg.threads = self.placed.threads;
         let replaced = if self.placed.costs.is_some() {

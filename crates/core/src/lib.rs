@@ -10,9 +10,10 @@
 //!    fused per-packet code for their target (the code-generation interface
 //!    of §4.2), unified behind the [`provider::DeviceProvider`] trait, and
 //! 2. **efficient multi-device execution** — the HetExchange-style
-//!    meta-operators in [`exchange`]: the *router* (parallelism trait), the
-//!    *device crossing* (target-device trait), the *mem-move* (locality
-//!    trait) and *pack/unpack* (packing trait). The [`mod@place`] pass makes
+//!    meta-operators in [`exchange`]: the load-aware *router*
+//!    ([`exchange::route`], parallelism trait), the *device crossing*
+//!    (target-device trait), the *mem-move* (locality trait) and
+//!    *pack/unpack* (packing trait). The [`mod@place`] pass makes
 //!    them explicit: it turns a [`plan::QueryPlan`] into a
 //!    [`place::PlacedPlan`] whose segments carry [`traits::HetTraits`] and
 //!    whose edges carry the inserted [`exchange::Exchange`] operators.
@@ -220,7 +221,7 @@ pub use catalog::{Catalog, TableRegistration};
 pub use cost::{CoprocessCost, CostModel, PlanCost, StageCost};
 pub use engine::{Engine, ExecConfig, ParsePlacementError, Placement, QueryExec, QueryReport};
 pub use error::{EngineError, HapeError, PlanError};
-pub use exchange::{Exchange, RoutingPolicy, WorkerId};
+pub use exchange::{Exchange, WorkerId};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, HealthRegistry, RetryPolicy, Trigger};
 pub use optimize::{optimize, optimize_on};
 pub use place::{place, place_on, PlacedPlan, PlacedStage, Segment};
@@ -243,7 +244,7 @@ pub mod prelude {
     pub use crate::cost::{CostModel, PlanCost, StageCost};
     pub use crate::engine::{Engine, ExecConfig, Placement, QueryReport};
     pub use crate::error::{EngineError, HapeError, PlanError};
-    pub use crate::exchange::{Exchange, RoutingPolicy};
+    pub use crate::exchange::Exchange;
     pub use crate::fault::{FaultKind, FaultPlan, FaultSpec, RetryPolicy, Trigger};
     pub use crate::optimize::optimize;
     pub use crate::place::{place, PlacedPlan, PlacedStage, Segment};

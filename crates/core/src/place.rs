@@ -19,7 +19,7 @@ use hape_sim::topology::{DeviceId, Server};
 use crate::cost::PlanCost;
 use crate::engine::{ExecConfig, Placement};
 use crate::error::EngineError;
-use crate::exchange::{Exchange, RoutingPolicy};
+use crate::exchange::Exchange;
 use crate::plan::{PipeOp, Pipeline, ProbeExec, QueryPlan, Stage};
 use crate::traits::{DeviceType, HetTraits, Packing};
 
@@ -139,15 +139,6 @@ impl PlacedStage {
             _ => ProbeExec::Broadcast,
         }
     }
-
-    /// The routing policy the executor should instantiate (the router's,
-    /// or load-aware when the stage needed no router).
-    pub fn policy(&self) -> RoutingPolicy {
-        match self.router() {
-            Some(Exchange::Router { policy, .. }) => *policy,
-            _ => RoutingPolicy::LoadAware,
-        }
-    }
 }
 
 /// A fully placed physical plan: the executable IR the engine interprets.
@@ -217,7 +208,6 @@ pub fn segment_traits(device: DeviceId, server: &Server) -> HetTraits {
 fn place_pipeline(
     pipeline: &Pipeline,
     devices: &[DeviceId],
-    policy: RoutingPolicy,
     server: &Server,
 ) -> (Option<Exchange>, Vec<Segment>) {
     let source = HetTraits::cpu_seq();
@@ -262,11 +252,9 @@ fn place_pipeline(
         .collect();
     let total_dop: usize = segments.iter().map(|s| s.traits.dop).sum();
     let target = HetTraits { dop: total_dop, ..source };
-    let router = source.needs_router(&target).then_some(Exchange::Router {
-        policy,
-        from_dop: source.dop,
-        to_dop: total_dop,
-    });
+    let router = source
+        .needs_router(&target)
+        .then_some(Exchange::Router { from_dop: source.dop, to_dop: total_dop });
     (router, segments)
 }
 
@@ -362,8 +350,7 @@ pub fn place_on(
         }
         match stage {
             Stage::Build { name, key_col, pipeline } => {
-                let (router, segments) =
-                    place_pipeline(pipeline, devices, RoutingPolicy::LoadAware, server);
+                let (router, segments) = place_pipeline(pipeline, devices, server);
                 stages.push(PlacedStage::Build {
                     name: name.clone(),
                     key_col: *key_col,
@@ -373,7 +360,7 @@ pub fn place_on(
                 });
             }
             Stage::Stream { pipeline } => {
-                let (router, segments) = place_pipeline(pipeline, devices, cfg.policy, server);
+                let (router, segments) = place_pipeline(pipeline, devices, server);
                 stages.push(PlacedStage::Stream {
                     pipeline: pipeline.clone(),
                     router,
@@ -670,21 +657,7 @@ mod tests {
             place(&plan, &ExecConfig::new(Placement::GpuOnly), &Server::single_gpu()).unwrap();
         let stream = placed.stages.last().unwrap();
         assert!(stream.router().is_none());
-        assert_eq!(stream.policy(), RoutingPolicy::LoadAware);
         assert_eq!(stream.segments().len(), 1);
-    }
-
-    #[test]
-    fn policy_rides_the_stream_router_builds_stay_load_aware() {
-        let plan = join_plan();
-        let server = Server::paper_testbed();
-        let cfg = ExecConfig {
-            policy: RoutingPolicy::RoundRobin,
-            ..ExecConfig::new(Placement::Hybrid)
-        };
-        let placed = place(&plan, &cfg, &server).unwrap();
-        assert_eq!(placed.stages[0].policy(), RoutingPolicy::LoadAware);
-        assert_eq!(placed.stages[1].policy(), RoutingPolicy::RoundRobin);
     }
 
     #[test]

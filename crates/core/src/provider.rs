@@ -279,7 +279,6 @@ pub fn run_ops(
                 let survivors = gpu_ops::block_survivors(&scratch.sel, rows_in);
                 let out = Batch {
                     columns: cur.columns.iter().map(|c| c.take(&scratch.sel)).collect(),
-                    partition: cur.partition,
                 };
                 ops_trace.push(OpTrace::Filter {
                     rows_in,
@@ -296,7 +295,7 @@ pub fn run_ops(
                 let ops: f64 = exprs.iter().map(|e| e.ops_per_row()).sum();
                 let cols = exprs.iter().map(|e| cpu_ops::project_column(e, &cur)).collect();
                 ops_trace.push(OpTrace::Project { rows_in, ops, bytes_in });
-                cur = Batch { columns: cols, partition: cur.partition };
+                cur = Batch { columns: cols };
             }
             PipeOp::JoinProbe { ht, key_col, build_payload_cols, algo } => {
                 let jt = lookup_ht(tables, ht)?;
@@ -501,7 +500,7 @@ pub fn probe_join_with(
     for &b in build_payload_cols {
         cols.push(jt.batch.col(b).take(build_sel));
     }
-    let out = Batch { columns: cols, partition: packet.partition };
+    let out = Batch { columns: cols };
     let avg_chain = if keys.is_empty() { 0.0 } else { steps_total as f64 / keys.len() as f64 };
     (out, avg_chain)
 }
@@ -523,7 +522,7 @@ pub fn gather_matches(
     for &b in build_payload_cols {
         cols.push(jt.batch.col(b).take(build_sel));
     }
-    Batch { columns: cols, partition: probe.partition }
+    Batch { columns: cols }
 }
 
 fn lookup_ht<'a>(tables: &'a TableStore, ht: &str) -> Result<&'a Arc<JoinTable>, EngineError> {

@@ -52,10 +52,7 @@ pub fn filter(batch: &Batch, pred: &Expr, model: &CpuCostModel) -> (Batch, SimTi
     let keep = eval_bool(pred, batch);
     let sel: Vec<u32> =
         keep.iter().enumerate().filter(|(_, &k)| k).map(|(i, _)| i as u32).collect();
-    let out = Batch {
-        columns: batch.columns.iter().map(|c| c.take(&sel)).collect(),
-        partition: batch.partition,
-    };
+    let out = Batch { columns: batch.columns.iter().map(|c| c.take(&sel)).collect() };
     let compute = filter_cost(n, pred.ops_per_row(), model);
     (out, compute)
 }
@@ -82,7 +79,7 @@ pub fn project(batch: &Batch, exprs: &[Expr], model: &CpuCostModel) -> (Batch, S
         ops += e.ops_per_row();
         cols.push(project_column(e, batch));
     }
-    let out = Batch { columns: cols, partition: batch.partition };
+    let out = Batch { columns: cols };
     // Fused projection: inputs were streamed by the scan, outputs stay in
     // registers for the next fused operator.
     let t = project_cost(n, ops, model);

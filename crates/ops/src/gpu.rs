@@ -98,10 +98,7 @@ pub fn filter(
         pred.ops_per_row(),
         &block_survivors(&sel, rows),
     );
-    let out = Batch {
-        columns: batch.columns.iter().map(|c| c.take(&sel)).collect(),
-        partition: batch.partition,
-    };
+    let out = Batch { columns: batch.columns.iter().map(|c| c.take(&sel)).collect() };
     (out, report)
 }
 

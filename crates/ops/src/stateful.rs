@@ -364,7 +364,7 @@ pub fn run_stateful(agg: &StatefulAgg, batch: &Batch) -> (Batch, usize) {
         start = end;
     }
     let columns = out.into_iter().map(Column::from_i64).collect();
-    (Batch { columns, partition: batch.partition }, users)
+    (Batch { columns }, users)
 }
 
 /// CPU cost of a stateful pass over `rows` input rows covering `users`

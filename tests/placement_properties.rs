@@ -1,16 +1,16 @@
 //! Placement-layer properties.
 //!
 //! 1. **Placement invariance** (deterministic property sweep): for every
-//!    TPC-H query and every placement × routing-policy combination, the
-//!    placed plan executes to row-identical results vs. the `CpuOnly`
-//!    reference — identical group keys and row counts, values equal up to
-//!    the float-fold rounding that different packet partitionings imply.
+//!    TPC-H query and every placement, the placed plan executes to
+//!    row-identical results vs. the `CpuOnly` reference — identical group
+//!    keys and row counts, values equal up to the float-fold rounding that
+//!    different packet partitionings imply.
 //! 2. **Explain snapshots**: `Session::explain` renders Q5's placed plan
 //!    with the inserted Router / MemMove / DeviceCrossing operators
 //!    visible in all three placements.
 
 use hape::core::engine::EngineError;
-use hape::core::{ExecConfig, HapeError, JoinAlgo, Placement, Query, RoutingPolicy, Session};
+use hape::core::{ExecConfig, HapeError, JoinAlgo, Placement, Query, Session};
 use hape::sim::topology::Server;
 use hape::tpch::queries::{q1_query, q5_query, q6_query, q9_query};
 use hape::tpch::reference::rows_approx_eq;
@@ -18,8 +18,6 @@ use hape::tpch::reference::rows_approx_eq;
 const SF: f64 = 0.01;
 
 const PLACEMENTS: [Placement; 3] = [Placement::CpuOnly, Placement::GpuOnly, Placement::Hybrid];
-const POLICIES: [RoutingPolicy; 3] =
-    [RoutingPolicy::LoadAware, RoutingPolicy::RoundRobin, RoutingPolicy::HashPartition];
 
 fn tpch_session() -> Session {
     let data = hape::tpch::generate(SF, 31337);
@@ -35,7 +33,7 @@ fn tpch_session() -> Session {
 }
 
 #[test]
-fn every_query_is_placement_and_policy_invariant() {
+fn every_query_is_placement_invariant() {
     let session = tpch_session();
     let queries: Vec<Query> = vec![
         q1_query(),
@@ -48,62 +46,52 @@ fn every_query_is_placement_and_policy_invariant() {
             session.execute_with(query, &ExecConfig::new(Placement::CpuOnly)).unwrap().rows;
         assert!(!reference.is_empty(), "{}: empty CpuOnly reference", query.name);
         for placement in PLACEMENTS {
-            for policy in POLICIES {
-                let cfg = ExecConfig { policy, ..ExecConfig::new(placement) };
-                // Every plan the pass pipeline produces must verify
-                // statically clean before it runs.
-                session
-                    .verify_with(query, &cfg)
-                    .unwrap_or_else(|e| panic!("{}/{placement:?}/{policy:?}: {e}", query.name));
-                let rep = session
-                    .execute_with(query, &cfg)
-                    .unwrap_or_else(|e| panic!("{}/{placement:?}/{policy:?}: {e}", query.name));
-                assert_eq!(
-                    rep.rows.len(),
-                    reference.len(),
-                    "{}/{placement:?}/{policy:?}: row count",
-                    query.name
-                );
-                for (got, want) in rep.rows.iter().zip(&reference) {
-                    assert_eq!(
-                        got.0, want.0,
-                        "{}/{placement:?}/{policy:?}: group keys",
-                        query.name
-                    );
-                }
-                assert!(
-                    rows_approx_eq(&rep.rows, &reference),
-                    "{}/{placement:?}/{policy:?}: values diverge from CpuOnly",
-                    query.name
-                );
+            let cfg = ExecConfig::new(placement);
+            // Every plan the pass pipeline produces must verify statically
+            // clean before it runs.
+            session
+                .verify_with(query, &cfg)
+                .unwrap_or_else(|e| panic!("{}/{placement:?}: {e}", query.name));
+            let rep = session
+                .execute_with(query, &cfg)
+                .unwrap_or_else(|e| panic!("{}/{placement:?}: {e}", query.name));
+            assert_eq!(
+                rep.rows.len(),
+                reference.len(),
+                "{}/{placement:?}: row count",
+                query.name
+            );
+            for (got, want) in rep.rows.iter().zip(&reference) {
+                assert_eq!(got.0, want.0, "{}/{placement:?}: group keys", query.name);
             }
+            assert!(
+                rows_approx_eq(&rep.rows, &reference),
+                "{}/{placement:?}: values diverge from CpuOnly",
+                query.name
+            );
         }
     }
 }
 
 #[test]
-fn q9_fails_capacity_on_gpu_placements_under_every_policy() {
+fn q9_fails_capacity_on_gpu_placements() {
     // Q9's hash tables exceed device memory (§6.4): every placement that
     // includes a GPU surfaces the typed capacity error; CPU-only agrees
-    // with itself under every policy.
+    // with itself.
     let session = tpch_session();
     let q9 = q9_query(JoinAlgo::NonPartitioned);
     let reference =
         session.execute_with(&q9, &ExecConfig::new(Placement::CpuOnly)).unwrap().rows;
-    for policy in POLICIES {
-        for placement in [Placement::GpuOnly, Placement::Hybrid] {
-            let cfg = ExecConfig { policy, ..ExecConfig::new(placement) };
-            match session.execute_with(&q9, &cfg).unwrap_err() {
-                HapeError::Engine(EngineError::GpuMemoryExceeded { required, capacity }) => {
-                    assert!(required > capacity, "{placement:?}/{policy:?}");
-                }
-                e => panic!("{placement:?}/{policy:?}: unexpected error {e}"),
+    for placement in [Placement::GpuOnly, Placement::Hybrid] {
+        match session.execute_with(&q9, &ExecConfig::new(placement)).unwrap_err() {
+            HapeError::Engine(EngineError::GpuMemoryExceeded { required, capacity }) => {
+                assert!(required > capacity, "{placement:?}");
             }
+            e => panic!("{placement:?}: unexpected error {e}"),
         }
-        let cfg = ExecConfig { policy, ..ExecConfig::new(Placement::CpuOnly) };
-        let rep = session.execute_with(&q9, &cfg).unwrap();
-        assert!(rows_approx_eq(&rep.rows, &reference), "Q9 CpuOnly/{policy:?}");
     }
+    let rep = session.execute_with(&q9, &ExecConfig::new(Placement::CpuOnly)).unwrap();
+    assert!(rows_approx_eq(&rep.rows, &reference), "Q9 CpuOnly");
 }
 
 /// The build-stage preamble is placement-independent: builds run CPU-side
@@ -201,19 +189,4 @@ fn q5_explain_snapshots_show_exchange_operators() {
     for needle in ["Router(", "MemMove(", "DeviceCrossing(", "broadcast"] {
         assert!(hybrid.contains(needle), "missing {needle} in hybrid render");
     }
-}
-
-#[test]
-fn explain_reflects_the_configured_policy() {
-    let session = tpch_session();
-    let q5 = q5_query(JoinAlgo::NonPartitioned);
-    let cfg = ExecConfig {
-        policy: RoutingPolicy::HashPartition,
-        ..ExecConfig::new(Placement::Hybrid)
-    };
-    let text = session.explain_with(&q5, &cfg).unwrap();
-    // The stream router carries the configured policy; build routers stay
-    // load-aware.
-    assert!(text.contains("Router(HashPartition, 1 -> 26)"), "{text}");
-    assert!(text.contains("Router(LoadAware, 1 -> 24)"), "{text}");
 }
