@@ -46,6 +46,7 @@ use hape_sim::topology::{DeviceId, Server};
 use hape_sim::CpuCostModel;
 
 use crate::catalog::Catalog;
+use crate::engine::ExecConfig;
 use crate::error::EngineError;
 use crate::plan::{PipeOp, Pipeline};
 use crate::provider::{GPU_HT_WORKING_FACTOR, GPU_PACKET_SHARE};
@@ -311,15 +312,16 @@ impl<'a> CostModel<'a> {
     ///
     /// `returns_output` marks build stages, whose GPU-produced output must
     /// travel back to host memory (the built table ends up host-resident
-    /// for broadcasting).
+    /// for broadcasting). `packet_rows` is the explicit packet-size
+    /// override the engine applies to this stage (`None` for builds).
     pub fn stage_cost(
         &self,
         est: &PipelineEstimate,
         devices: &[DeviceId],
         returns_output: bool,
+        packet_rows: Option<usize>,
     ) -> Result<StageCost, EngineError> {
-        // Packet sizing mirrors the engine's auto rule: ~4 packets per
-        // worker share, clamped to [2K, 1M] rows.
+        // Packets are sized by the engine's own rule.
         let shares: usize = devices
             .iter()
             .map(|d| match d {
@@ -328,7 +330,7 @@ impl<'a> CostModel<'a> {
             })
             .sum::<Result<usize, _>>()?;
         let packet_rows =
-            ((est.in_rows / (4.0 * shares.max(1) as f64)) as usize).clamp(2 << 10, 1 << 20);
+            ExecConfig::auto_packet_rows(est.in_rows as usize, shares, packet_rows);
         let packet_bytes = packet_rows as f64 * (est.in_bytes / est.in_rows);
 
         // A pipeline may probe the same table at several sites (memoised
@@ -720,10 +722,10 @@ mod tests {
         let model = CostModel::new(&server, &catalog);
         let hts = dim_estimates(&model);
         let est = estimate(&model, &join_pipeline(), &hts);
-        let cpu1 = model.stage_cost(&est, &[DeviceId::Cpu(0)], false).unwrap();
+        let cpu1 = model.stage_cost(&est, &[DeviceId::Cpu(0)], false, None).unwrap();
         let cpus =
-            model.stage_cost(&est, &[DeviceId::Cpu(0), DeviceId::Cpu(1)], false).unwrap();
-        let all = model.stage_cost(&est, &server.devices(), false).unwrap();
+            model.stage_cost(&est, &[DeviceId::Cpu(0), DeviceId::Cpu(1)], false, None).unwrap();
+        let all = model.stage_cost(&est, &server.devices(), false, None).unwrap();
         assert!(cpus.stream_seconds < cpu1.stream_seconds);
         assert!(all.stream_seconds < cpus.stream_seconds);
     }
@@ -734,11 +736,11 @@ mod tests {
         let model = CostModel::new(&server, &catalog);
         let hts = dim_estimates(&model);
         let est = estimate(&model, &join_pipeline(), &hts);
-        let cpu = model.stage_cost(&est, &[DeviceId::Cpu(0)], false).unwrap();
+        let cpu = model.stage_cost(&est, &[DeviceId::Cpu(0)], false, None).unwrap();
         assert_eq!(cpu.broadcast_seconds, 0.0);
         assert!(cpu.gpu_capacity.is_none());
         assert!(cpu.fits_gpu_memory());
-        let gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], false).unwrap();
+        let gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], false, None).unwrap();
         assert!(gpu.broadcast_seconds > 0.0);
         assert_eq!(gpu.ht_bytes, hts["dim_ht"].bytes);
         assert_eq!(
@@ -762,7 +764,7 @@ mod tests {
             .aggregate(AggSpec::ungrouped(vec![(AggFunc::Count, Expr::col(0))]));
         let est = estimate(&model, &twice, &hts);
         assert_eq!(est.probes.len(), 2, "probe work is charged per site");
-        let gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], false).unwrap();
+        let gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], false, None).unwrap();
         assert_eq!(gpu.ht_bytes, hts["dim_ht"].bytes, "broadcast counted once");
         assert_eq!(
             gpu.gpu_required,
@@ -777,7 +779,7 @@ mod tests {
         let model = CostModel::new(&server, &catalog);
         let hts = dim_estimates(&model);
         let est = estimate(&model, &join_pipeline(), &hts);
-        let cost = model.stage_cost(&est, &[DeviceId::Gpu(0)], false).unwrap();
+        let cost = model.stage_cost(&est, &[DeviceId::Gpu(0)], false, None).unwrap();
         assert!(!cost.fits_gpu_memory(), "{cost:?}");
     }
 
@@ -786,8 +788,8 @@ mod tests {
         let (catalog, server) = setup();
         let model = CostModel::new(&server, &catalog);
         let est = estimate(&model, &Pipeline::scan("dim"), &HtEstimates::new());
-        let on_cpu = model.stage_cost(&est, &[DeviceId::Cpu(0)], true).unwrap();
-        let on_gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], true).unwrap();
+        let on_cpu = model.stage_cost(&est, &[DeviceId::Cpu(0)], true, None).unwrap();
+        let on_gpu = model.stage_cost(&est, &[DeviceId::Gpu(0)], true, None).unwrap();
         assert_eq!(on_cpu.d2h_seconds, 0.0);
         assert!(on_gpu.d2h_seconds > 0.0);
     }
@@ -797,7 +799,7 @@ mod tests {
         let (catalog, server) = setup();
         let model = CostModel::new(&server, &catalog);
         let est = estimate(&model, &Pipeline::scan("dim"), &HtEstimates::new());
-        let err = model.stage_cost(&est, &[DeviceId::Gpu(7)], false).unwrap_err();
+        let err = model.stage_cost(&est, &[DeviceId::Gpu(7)], false, None).unwrap_err();
         assert!(matches!(err, EngineError::DeviceNotPresent { .. }));
     }
 }

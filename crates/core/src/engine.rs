@@ -185,9 +185,9 @@ impl ExecConfig {
     /// The engine's packet-sizing rule for a stream of `rows` rows over
     /// `shares` worker packet shares: the `explicit` override when set,
     /// else about four packets per share, clamped to [2K, 1M] rows. The
-    /// cost model's packet-size estimate ([`crate::cost`]) mirrors this
-    /// rule, and the `figures` binary / `tpch_hybrid` example expose the
-    /// override as `--packet-rows` for sweeps.
+    /// cost model ([`crate::cost::CostModel::stage_cost`]) prices packets
+    /// by this rule too, and the `figures` binary / `tpch_hybrid` example
+    /// expose the override as `--packet-rows` for sweeps.
     pub fn auto_packet_rows(rows: usize, shares: usize, explicit: Option<usize>) -> usize {
         if let Some(r) = explicit {
             return r.max(1);

@@ -131,11 +131,13 @@ pub fn optimize_on(
         // The cardinality walk is subset-independent: run it once per
         // stage and price every candidate subset against it.
         let est = model.estimate_pipeline(pipeline, &hts)?;
+        // The engine applies the packet-size override to streams only.
+        let packet_rows = if is_build { None } else { cfg.packet_rows };
         let mut best: Option<StageCost> = None;
         let mut over_capacity: Option<(u64, u64)> = None;
         let mut gpu_subset_fits = false;
         for subset in &candidates {
-            let cost = model.stage_cost(&est, subset, is_build)?;
+            let cost = model.stage_cost(&est, subset, is_build, packet_rows)?;
             if !cost.fits_gpu_memory() {
                 let cap = cost.gpu_capacity.unwrap_or(0);
                 if over_capacity.is_none_or(|(r, _)| cost.gpu_required < r) {
@@ -362,6 +364,26 @@ mod tests {
             );
         }
         assert!(placed.costs.is_some(), "degraded plans are costed like any other");
+    }
+
+    #[test]
+    fn packet_rows_override_prices_gpu_streams() {
+        // The engine cuts streams (not builds) into `packet_rows`-row
+        // packets; the estimate must price those packets' fixed costs.
+        let (catalog, plan) = setup();
+        let server = Server::paper_testbed();
+        let price = |cfg: ExecConfig| {
+            let placed =
+                optimize_on(&plan, &catalog, &cfg, &server, &[DeviceId::Gpu(0)]).unwrap();
+            placed.costs.unwrap().stages
+        };
+        let auto = price(ExecConfig::new(Placement::Auto));
+        let small = price(ExecConfig::new(Placement::Auto).with_packet_rows(256));
+        assert_eq!(small[0].total_seconds(), auto[0].total_seconds(), "builds ignore it");
+        assert!(
+            small[1].total_seconds() > auto[1].total_seconds(),
+            "256-row packets must cost more than the automatic size: {small:?} vs {auto:?}"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!    ([`CacheStats::invalidations`]). The cache can be bounded
 //!    ([`SessionServer::with_build_cache_capacity`]): over capacity it
 //!    evicts least-recently-used first, counted in
-//!    [`CacheStats::evictions`] and [`ServeReport::builds_evicted`].
+//!    [`CacheStats::evictions`] and [`ServeMetrics::builds_evicted`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -321,7 +321,8 @@ pub struct ServeMetrics {
     pub admission_waits: usize,
     /// Build stages served from the cross-query cache across the batch.
     pub builds_cached: usize,
-    /// Cache entries evicted by the capacity bound during the batch.
+    /// Cache entries the capacity bound evicted (LRU-first) during the
+    /// batch. Always 0 on an unbounded cache.
     pub builds_evicted: usize,
     /// The build cache's cumulative counters after the batch.
     pub cache: CacheStats,
@@ -335,9 +336,6 @@ pub struct ServeReport {
     /// The GPU admission budget the batch ran under (`None` on a fleet
     /// without GPUs: admission then never queues).
     pub gpu_budget: Option<u64>,
-    /// Build-cache entries the capacity bound evicted (LRU-first) while
-    /// this batch ran. Always 0 on an unbounded cache.
-    pub builds_evicted: usize,
     /// Aggregate batch metrics (always populated, tracing or not).
     pub metrics: ServeMetrics,
 }
@@ -355,20 +353,6 @@ impl ServeReport {
     /// The report of one submission.
     pub fn report(&self, handle: QueryHandle) -> &Result<QueryReport, HapeError> {
         &self.outcome(handle).report
-    }
-
-    /// Total scheduler rounds any query spent waiting on admission.
-    pub fn total_admission_waits(&self) -> usize {
-        self.outcomes.iter().map(|o| o.admission_wait).sum()
-    }
-
-    /// Total build stages served from the cross-query cache.
-    pub fn total_builds_cached(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.report.as_ref().ok())
-            .map(|r| r.builds_cached)
-            .sum()
     }
 }
 
@@ -924,7 +908,6 @@ impl SessionServer {
             });
         }
         outcomes.sort_by_key(|o| o.handle.0);
-        let builds_evicted = self.cache.stats.evictions - evictions_before;
         let metrics = ServeMetrics {
             queries: outcomes.len(),
             failures: outcomes.iter().filter(|o| o.report.is_err()).count(),
@@ -934,10 +917,10 @@ impl SessionServer {
                 .filter_map(|o| o.report.as_ref().ok())
                 .map(|r| r.builds_cached)
                 .sum(),
-            builds_evicted,
+            builds_evicted: self.cache.stats.evictions - evictions_before,
             cache: self.cache.stats(),
         };
-        ServeReport { outcomes, gpu_budget, builds_evicted, metrics }
+        ServeReport { outcomes, gpu_budget, metrics }
     }
 }
 
@@ -982,7 +965,8 @@ fn gpu_footprint(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan)
             devices.extend(gpus.iter().copied());
         }
         let is_build = matches!(stage, PlacedStage::Build { .. });
-        if let Ok(cost) = model.stage_cost(&est, &devices, is_build) {
+        let packet_rows = if is_build { None } else { placed.packet_rows };
+        if let Ok(cost) = model.stage_cost(&est, &devices, is_build, packet_rows) {
             if cost.gpu_capacity.is_some() {
                 worst = worst.max(cost.gpu_required);
             }

@@ -181,8 +181,8 @@ fn run() -> Result<(), CliError> {
         println!(
             "completed {ok}/{submitted} ({failed} failed), admission waits {}, \
              cache-served builds {} (hits {}, misses {})",
-            batch.total_admission_waits(),
-            batch.total_builds_cached(),
+            batch.metrics.admission_waits,
+            batch.metrics.builds_cached,
             stats.hits,
             stats.misses
         );

@@ -143,7 +143,7 @@ fn admission_queues_second_gpu_heavy_query_instead_of_oom() {
     // completed with correct rows.
     assert_eq!(oa.admission_wait, 0, "head of line admitted immediately");
     assert!(ob.admission_wait > 0, "second query must wait for the GPU budget");
-    assert!(batch.total_admission_waits() > 0);
+    assert!(batch.metrics.admission_waits > 0);
     let ra = oa.report.as_ref().expect("first completes");
     let rb = ob.report.as_ref().expect("queued query completes after the first frees the GPU");
     assert_eq!(ra.rows[0].1[0], (1 << 14) as f64);
@@ -350,7 +350,7 @@ fn bounded_build_cache_evicts_lru_first_and_never_serves_stale() {
     server.submit_with(&qb, &cfg);
     server.submit_with(&qc, &cfg);
     let batch = server.run_all();
-    assert_eq!(batch.builds_evicted, 1, "third insert must evict exactly one entry");
+    assert_eq!(batch.metrics.builds_evicted, 1, "third insert must evict exactly one entry");
     assert_eq!(server.cached_builds(), 2, "cache stays at capacity");
 
     // Batch 2: b (still cached) hits, bumping its recency past c's; a
@@ -363,7 +363,7 @@ fn bounded_build_cache_evicts_lru_first_and_never_serves_stale() {
     let ra = batch.report(ha).as_ref().unwrap();
     assert_eq!(ra.builds_cached, 0, "evicted entry must rebuild, not serve");
     assert_eq!(ra.rows, solo_a, "rebuilt rows identical to solo execution");
-    assert_eq!(batch.builds_evicted, 1);
+    assert_eq!(batch.metrics.builds_evicted, 1);
 
     // Batch 3 confirms the LRU order of batch 2: b (hit-protected) is
     // still resident although it was inserted before c; c was evicted.

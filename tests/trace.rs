@@ -194,7 +194,13 @@ fn serving_layer_records_admission_and_cache_events() {
     // The batch's metrics snapshot and Display summary agree with it.
     assert_eq!(batch.metrics.queries, 2);
     assert_eq!(batch.metrics.failures, 0);
-    assert_eq!(batch.metrics.builds_cached, batch.total_builds_cached());
+    let builds_cached: usize = batch
+        .outcomes
+        .iter()
+        .filter_map(|o| o.report.as_ref().ok())
+        .map(|r| r.builds_cached)
+        .sum();
+    assert_eq!(batch.metrics.builds_cached, builds_cached);
     assert!(batch.metrics.builds_cached >= 1, "repeat served from cache");
     let text = batch.to_string();
     assert!(text.starts_with("served 2 queries"), "{text}");
