@@ -321,7 +321,6 @@ impl<'a> CostModel<'a> {
         returns_output: bool,
         packet_rows: Option<usize>,
     ) -> Result<StageCost, EngineError> {
-        // Packets are sized by the engine's own rule.
         let shares: usize = devices
             .iter()
             .map(|d| match d {

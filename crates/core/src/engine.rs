@@ -194,6 +194,17 @@ impl ExecConfig {
         }
         (rows / (4 * shares.max(1))).clamp(2 << 10, 1 << 20)
     }
+
+    /// The packet-size override a stage runs under: `explicit` for stream
+    /// and co-process stages, none for builds, which are plumbing rather
+    /// than the measured workload and always use the automatic rule.
+    pub(crate) fn stage_packet_rows(is_build: bool, explicit: Option<usize>) -> Option<usize> {
+        if is_build {
+            None
+        } else {
+            explicit
+        }
+    }
 }
 
 /// The result of running a query.
@@ -1172,12 +1183,10 @@ impl<'a> QueryExec<'a> {
             catalog: self.catalog,
             tables: &self.tables,
             resident: &self.resident,
-            // Builds size their packets by the automatic rule; the
-            // explicit override is for the measured stream stages.
-            packet_rows: match stage {
-                PlacedStage::Build { .. } => None,
-                _ => self.placed.packet_rows,
-            },
+            packet_rows: ExecConfig::stage_packet_rows(
+                matches!(stage, PlacedStage::Build { .. }),
+                self.placed.packet_rows,
+            ),
             threads: self.threads,
             faults: &self.faults,
             ctx: &ctx,

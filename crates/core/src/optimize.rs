@@ -131,8 +131,7 @@ pub fn optimize_on(
         // The cardinality walk is subset-independent: run it once per
         // stage and price every candidate subset against it.
         let est = model.estimate_pipeline(pipeline, &hts)?;
-        // The engine applies the packet-size override to streams only.
-        let packet_rows = if is_build { None } else { cfg.packet_rows };
+        let packet_rows = ExecConfig::stage_packet_rows(is_build, cfg.packet_rows);
         let mut best: Option<StageCost> = None;
         let mut over_capacity: Option<(u64, u64)> = None;
         let mut gpu_subset_fits = false;

@@ -965,7 +965,7 @@ fn gpu_footprint(session: &Session, lowered: &LoweredQuery, placed: &PlacedPlan)
             devices.extend(gpus.iter().copied());
         }
         let is_build = matches!(stage, PlacedStage::Build { .. });
-        let packet_rows = if is_build { None } else { placed.packet_rows };
+        let packet_rows = ExecConfig::stage_packet_rows(is_build, placed.packet_rows);
         if let Ok(cost) = model.stage_cost(&est, &devices, is_build, packet_rows) {
             if cost.gpu_capacity.is_some() {
                 worst = worst.max(cost.gpu_required);
