@@ -8,7 +8,8 @@
 //!
 //! Next to the figures: two sweeps over one query × placement matrix,
 //! written by one JSON writer — static verification ([`verify`]) and
-//! clean-vs-faulted execution ([`chaos`]) — a traced TPC-H run
+//! clean-vs-faulted execution ([`chaos`]) — a golden test pinning every
+//! cell of that matrix bit for bit (`golden_matrix.txt`), a traced TPC-H run
 //! ([`trace`]), and the flag parser the `figures` binary and the
 //! `tpch_hybrid` example share ([`cli`]). Wall-clock and per-layer
 //! performance is measured by the separate `perf/` benchmark package.
